@@ -24,28 +24,18 @@ from .errors import (
 from .expressions import Expression, parse_expression
 from .field import (
     DiffusionField,
-    EigenPair,
     ProbeTable,
     SplittingConstants,
     built_in_field,
     compute_constants,
-    eigen_pair,
-    ratio_functions,
-    validate_spd,
 )
-from .grid import Grid, NodeIndex, ball_nodes, build_grid
+from .grid import Grid, NodeIndex, build_grid
 from .problems import built_in_problem
 from .solver import SolveReport, residual, solve
-from .splitting import (
-    AngleIntervals,
-    angle_intervals,
-    split_coefficients,
-    verify_nonnegative,
-)
+from .splitting import AngleIntervals, slope_bounds
 from .stencil import (
     GridPlan,
     PrincipalDirections,
-    StencilPlan,
     check_mesh_condition,
     clip_arm,
     plan_grid,

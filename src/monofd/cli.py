@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 planning failure, 4 audit failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -35,10 +36,9 @@ from .grid import build_grid
 from .problems import BUILT_IN_PROBLEMS, built_in_problem
 from .stencil import check_mesh_condition, plan_grid, stencil_upper_bound
 from .verification import (
-    DmpRow,
     Prepared,
-    boundary_extrema,
     convergence_study,
+    dmp_row,
     manufactured_problem,
     prepare,
     run_case,
@@ -106,6 +106,13 @@ def load_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
+def _config_number(entries: dict[str, str], key: str, kind):
+    try:
+        return kind(entries[key])
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {entries[key]!r}") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     entries: dict[str, str] = {}
@@ -116,15 +123,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if "n" in entries:
         cfg.n_list = _parse_n_list(entries["n"])
     if "k" in entries:
-        cfg.k = float(entries["k"])
+        cfg.k = _config_number(entries, "k", float)
     if "m" in entries:
-        cfg.fixed_m = int(entries["m"])
+        cfg.fixed_m = _config_number(entries, "m", int)
     if "tol" in entries:
-        cfg.tol = float(entries["tol"])
+        cfg.tol = _config_number(entries, "tol", float)
     if "max_iter" in entries:
-        cfg.max_iter = int(entries["max_iter"])
+        cfg.max_iter = _config_number(entries, "max_iter", int)
     if "probe_step" in entries:
-        cfg.probe_step = float(entries["probe_step"])
+        cfg.probe_step = _config_number(entries, "probe_step", float)
     if "out" in entries:
         cfg.out = Path(entries["out"])
     if "force" in entries:
@@ -309,10 +316,7 @@ def cmd_dmp(cfg: RunConfig, rep: Reporter) -> int:
     _describe_constants(rep, prepared)
     rows = []
     for n in cfg.n_list:
-        grid = build_grid(n)
-        case = _run_one(cfg, rep, prepared, n)
-        bmin, bmax = boundary_extrema(problem, grid)
-        row = DmpRow(n, bmin, float(case.solution.min()), bmax, float(case.solution.max()))
+        row = dmp_row(prepared, n, functools.partial(_run_one, cfg, rep, prepared))
         rows.append(row)
         rep.emit(
             f"N={n}: boundary [{row.boundary_min:.6e}, {row.boundary_max:.6e}] "

@@ -25,17 +25,12 @@ import numpy as np
 
 from .errors import ConfigError, FieldValidationError
 from .expressions import Expression, const, cos, parse_expression, sin, var
+from .splitting import slope_bounds
 
 __all__ = [
     "DiffusionField",
-    "EigenPair",
     "SplittingConstants",
-    "SpdReport",
-    "RatioValues",
     "ProbeTable",
-    "eigen_pair",
-    "validate_spd",
-    "ratio_functions",
     "compute_constants",
     "built_in_field",
     "BUILT_IN_FIELDS",
@@ -70,22 +65,8 @@ class DiffusionField:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues (descending) and principal-axis angle of the tensor."""
-
-    lambda1: float
-    lambda2: float
-    psi: float
-
-
-@dataclass(frozen=True)
 class SplittingConstants:
-    """Field-wide constants; ``radius`` bounds the planning neighborhoods.
-
-    ``lip_b`` is the Lipschitz estimate of the off-diagonal entry itself; the
-    assembler uses it to pick the mesh-scale softening width of the
-    positive/negative-part split of b.
-    """
+    """Field-wide constants; ``radius`` bounds the planning neighborhoods."""
 
     alpha_bar: float
     alpha: float
@@ -95,41 +76,6 @@ class SplittingConstants:
     lip_g: float
     radius: float
     probe_step: float
-    lip_b: float = 0.0
-
-    @property
-    def interval_width_floor(self) -> float:
-        """Guaranteed width of admissible slope intervals inside the radius."""
-        return self.alpha_bar / (3.0 * self.alpha)
-
-
-@dataclass(frozen=True)
-class SpdReport:
-    passed: bool
-    min_a: float
-    min_c: float
-    min_det: float
-    worst_point: tuple[float, float]
-    probe_step: float
-
-
-@dataclass(frozen=True)
-class RatioValues:
-    """Slope ratios at a point: F = c/b (None where b = 0), G = b/a, cut-offs."""
-
-    ratio_f: float | None
-    ratio_g: float
-    f_plus: float
-    f_minus: float
-
-
-def eigen_pair(field: DiffusionField, x: float, y: float) -> EigenPair:
-    """Closed-form eigen decomposition of the symmetric 2x2 tensor."""
-    a, b, c = field.tensor(x, y)
-    mean = 0.5 * (a + c)
-    half_gap = math.hypot(0.5 * (a - c), b)
-    psi = 0.5 * math.atan2(2.0 * b, a - c)
-    return EigenPair(mean + half_gap, mean - half_gap, psi)
 
 
 def _lattice(probe_step: float) -> np.ndarray:
@@ -178,53 +124,8 @@ class ProbeTable:
         dx = xs[ilo : ihi + 1] - x0
         dy = xs[jlo : jhi + 1] - y0
         inside = dx[None, :] ** 2 + dy[:, None] ** 2 < radius**2
-        plus = inside & (bw > 0.0)
-        minus = inside & (bw < 0.0)
-        a_sup = float(gw[plus].max()) if plus.any() else -np.inf
-        b_inf = float(fw[plus].min()) if plus.any() else np.inf
-        c_sup = float(fw[minus].max()) if minus.any() else -np.inf
-        d_inf = float(gw[minus].min()) if minus.any() else np.inf
-        return a_sup, b_inf, c_sup, d_inf
-
-
-def validate_spd(field: DiffusionField, probe_step: float = 1e-2) -> SpdReport:
-    """Sample a, c, and the determinant on a lattice; fail on any nonpositive probe."""
-    xs = _lattice(probe_step)
-    X, Y = np.meshgrid(xs, xs)
-    a, b, c = field.tensor_arrays(X, Y)
-    det = a * c - b**2
-    worst = np.unravel_index(int(np.argmin(det)), det.shape)
-    report = SpdReport(
-        passed=bool(a.min() > 0.0 and c.min() > 0.0 and det.min() > 0.0),
-        min_a=float(a.min()),
-        min_c=float(c.min()),
-        min_det=float(det.min()),
-        worst_point=(float(X[worst]), float(Y[worst])),
-        probe_step=float(xs[1] - xs[0]),
-    )
-    return report
-
-
-def ratio_functions(field: DiffusionField, x: float, y: float, constants: SplittingConstants) -> RatioValues:
-    """Slope ratios and their cut-offs at a point.
-
-    The cut-off level ``constants.cap_m`` makes the plus/minus variants total:
-    where b <= 0 (or c/b is beyond the cap) the plus variant saturates at
-    +cap, and symmetrically for the minus variant.
-    """
-    a, b, c = field.tensor(x, y)
-    cap = constants.cap_m
-    g = b / a
-    f = c / b if b != 0.0 else None
-    if b > 0.0 and f < cap:
-        f_plus = f
-    else:
-        f_plus = cap
-    if b < 0.0 and f > -cap:
-        f_minus = f
-    else:
-        f_minus = -cap
-    return RatioValues(f, g, f_plus, f_minus)
+        bounds = slope_bounds(gw, fw, inside & (bw > 0.0), inside & (bw < 0.0))
+        return tuple(map(float, bounds))
 
 
 def _axis_lipschitz(values: np.ndarray, step: float) -> float:
@@ -242,18 +143,21 @@ def _axis_lipschitz(values: np.ndarray, step: float) -> float:
 def compute_constants(field: DiffusionField, probe_step: float = 1e-3, table: ProbeTable | None = None) -> SplittingConstants:
     """Estimate the field-wide planning constants by dense lattice sampling.
 
-    Raises FieldValidationError if any probe violates positive definiteness.
+    Raises FieldValidationError if any probe is non-finite or violates
+    positive definiteness.
     For constant fields every Lipschitz estimate vanishes and the radius is
     capped at the domain diameter.
     """
     if table is None:
         table = ProbeTable(field, probe_step)
     a, b, c, det = table.a, table.b, table.c, table.det
-    if a.min() <= 0.0 or c.min() <= 0.0 or det.min() <= 0.0:
-        worst = np.unravel_index(int(np.argmin(det)), det.shape)
+    # A NaN or infinite a, b or c makes det non-finite as well.
+    finite = np.isfinite(det)
+    if not finite.all() or a.min() <= 0.0 or c.min() <= 0.0 or det.min() <= 0.0:
+        worst = np.unravel_index(int(np.argmin(np.where(finite, det, -np.inf))), det.shape)
         point = (float(table.xs[worst[1]]), float(table.xs[worst[0]]))
         raise FieldValidationError(
-            f"field {field.name!r} is not uniformly positive definite near {point}",
+            f"field {field.name!r} is not finite and uniformly positive definite near {point}",
             point=point,
         )
     alpha_bar = float(det.min())
@@ -267,7 +171,6 @@ def compute_constants(field: DiffusionField, probe_step: float = 1e-3, table: Pr
     lip_fplus = _axis_lipschitz(f_plus, table.step)
     lip_fminus = _axis_lipschitz(f_minus, table.step)
     lip_g = _axis_lipschitz(table.ratio_g, table.step)
-    lip_b = _axis_lipschitz(b, table.step)
     max_lip = max(lip_fplus, lip_fminus, lip_g)
     if max_lip == 0.0:
         radius = DOMAIN_DIAMETER
@@ -282,7 +185,6 @@ def compute_constants(field: DiffusionField, probe_step: float = 1e-3, table: Pr
         lip_g=lip_g,
         radius=radius,
         probe_step=table.step,
-        lip_b=lip_b,
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["Grid", "NodeIndex", "build_grid", "ball_nodes"]
+__all__ = ["Grid", "NodeIndex", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -71,33 +71,9 @@ class Grid:
         X, Y = np.meshgrid(side, side)  # rows vary k, columns vary j
         return X.ravel(), Y.ravel()
 
-    def boundary_nodes(self) -> list[NodeIndex]:
-        out = []
-        for j in range(self.n + 1):
-            for k in range(self.n + 1):
-                if j in (0, self.n) or k in (0, self.n):
-                    out.append(NodeIndex(j, k, None))
-        return out
-
 
 def build_grid(n: int) -> Grid:
     """Build the uniform grid with ``n`` intervals per side (h = 1/n)."""
     if int(n) != n or n < 2:
         raise GridError(f"grid needs at least 2 intervals per side, got {n!r}")
     return Grid(int(n), 1.0 / int(n))
-
-
-def ball_nodes(grid: Grid, center, radius: float) -> list[tuple[float, float]]:
-    """Grid nodes (boundary included) strictly inside the open ball.
-
-    ``center`` is a NodeIndex or a (j, k) pair.  The strict inequality matches
-    the open-ball neighborhoods used by the planner.
-    """
-    if radius <= 0:
-        raise GridError("ball radius must be positive")
-    cj, ck = (center.j, center.k) if isinstance(center, NodeIndex) else center
-    x0, y0 = cj / grid.n, ck / grid.n
-    side = np.arange(grid.n + 1) / grid.n
-    X, Y = np.meshgrid(side, side)
-    mask = (X - x0) ** 2 + (Y - y0) ** 2 < radius**2
-    return [(float(x), float(y)) for x, y in zip(X[mask], Y[mask])]

@@ -20,20 +20,19 @@ placement rather than from a mesh-size assumption.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PlanningError
 from .field import DiffusionField, ProbeTable, SplittingConstants
 from .grid import Grid
-from .splitting import AngleIntervals
+from .splitting import AngleIntervals, slope_bounds
 
 __all__ = [
     "PrincipalDirections",
     "StencilChoice",
     "ArmEndpoint",
-    "StencilPlan",
     "GridPlan",
     "MeshCondition",
     "principal_directions",
@@ -57,10 +56,6 @@ class PrincipalDirections:
     m: int
     angles: dict[int, float]
     offsets: dict[int, tuple[int, int]]
-
-    def slope(self, i: int) -> float:
-        dx, dy = self.offsets[i]
-        return math.inf if dx == 0 else dy / dx
 
 
 def principal_directions(m: int) -> PrincipalDirections:
@@ -161,13 +156,14 @@ def select_stencil(
     weakened by the margin.  Empty sign parts impose no constraint.
     """
     m_values = [fixed_m] if fixed_m is not None else range(1, m_cap + 1)
+    plus_empty, minus_empty = intervals.plus_empty, intervals.minus_empty
     for margin in (safety, 0.0) if safety > 0.0 else (0.0,):
         for m in m_values:
-            plus = None if intervals.plus_empty else _plus_direction(m, intervals, margin)
-            if plus is None and not intervals.plus_empty:
+            plus = None if plus_empty else _plus_direction(m, intervals, margin)
+            if plus is None and not plus_empty:
                 continue
-            minus = None if intervals.minus_empty else _minus_direction(m, intervals, margin)
-            if minus is None and not intervals.minus_empty:
+            minus = None if minus_empty else _minus_direction(m, intervals, margin)
+            if minus is None and not minus_empty:
                 continue
             i1, tan1 = plus if plus is not None else (None, None)
             i2, tan2 = minus if minus is not None else (None, None)
@@ -230,25 +226,6 @@ def clip_arm(grid: Grid, node: tuple[int, int], offset: tuple[int, int]) -> ArmE
     return ArmEndpoint("boundary", (cj / n, ck / n), t * full, None, True)
 
 
-@dataclass(frozen=True)
-class StencilPlan:
-    """Materialized plan for a single node, including clipped arm endpoints."""
-
-    node: tuple[int, int]
-    m: int
-    i1: int | None
-    i2: int | None
-    tan1: float | None
-    tan2: float | None
-    arm1: tuple[ArmEndpoint, ArmEndpoint] | None
-    arm2: tuple[ArmEndpoint, ArmEndpoint] | None
-
-    @property
-    def clipped_arm_count(self) -> int:
-        arms = [e for pair in (self.arm1, self.arm2) if pair is not None for e in pair]
-        return sum(1 for e in arms if e.kind == "boundary")
-
-
 @dataclass
 class GridPlan:
     """Vectorized per-node plans for one grid and field."""
@@ -264,7 +241,6 @@ class GridPlan:
     b_inf: np.ndarray
     c_sup: np.ndarray
     d_inf: np.ndarray
-    direction_tables: dict[int, PrincipalDirections] = dc_field(default_factory=dict)
 
     @property
     def max_m(self) -> int:
@@ -274,48 +250,24 @@ class GridPlan:
         values, counts = np.unique(self.m, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
 
-    def directions(self, m: int) -> PrincipalDirections:
-        if m not in self.direction_tables:
-            self.direction_tables[m] = principal_directions(m)
-        return self.direction_tables[m]
-
-    def node_plan(self, j: int, k: int) -> StencilPlan:
-        idx = self.grid.linear_index(j, k)
-        m = int(self.m[idx])
-        i1 = int(self.i1[idx]) or None
-        i2 = int(self.i2[idx]) or None
-        table = self.directions(m)
-
-        def arms(i):
-            if i is None:
-                return None
-            dx, dy = table.offsets[i]
-            return (clip_arm(self.grid, (j, k), (dx, dy)), clip_arm(self.grid, (j, k), (-dx, -dy)))
-
-        return StencilPlan(
-            node=(j, k),
-            m=m,
-            i1=i1,
-            i2=i2,
-            tan1=float(self.tan1[idx]) if i1 is not None else None,
-            tan2=float(self.tan2[idx]) if i2 is not None else None,
-            arm1=arms(i1),
-            arm2=arms(i2),
-        )
-
     def dump(self, stream) -> None:
         """One line per node: j k m i1 tan1 i2 tan2 clipped-arm-count."""
         stream.write("# j k m i1 tan_beta1 i2 tan_beta2 clipped_arms\n")
-        n = self.grid.n
-        for k in range(1, n):
-            for j in range(1, n):
-                plan = self.node_plan(j, k)
-                t1 = "nan" if plan.tan1 is None else repr(plan.tan1)
-                t2 = "nan" if plan.tan2 is None else repr(plan.tan2)
-                stream.write(
-                    f"{j} {k} {plan.m} {plan.i1 or 0} {t1} {plan.i2 or 0} {t2} "
-                    f"{plan.clipped_arm_count}\n"
-                )
+        grid = self.grid
+        tables = {int(m): principal_directions(int(m)).offsets for m in np.unique(self.m)}
+        for idx in range(grid.interior_count):
+            node = grid.node_from_linear(idx)
+            m, i1, i2 = int(self.m[idx]), int(self.i1[idx]), int(self.i2[idx])
+            offsets = tables[m]
+            clipped = 0
+            for i in (i1, i2):
+                if i:
+                    dx, dy = offsets[i]
+                    for off in ((dx, dy), (-dx, -dy)):
+                        clipped += clip_arm(grid, (node.j, node.k), off).kind == "boundary"
+            t1 = repr(float(self.tan1[idx])) if i1 else "nan"
+            t2 = repr(float(self.tan2[idx])) if i2 else "nan"
+            stream.write(f"{node.j} {node.k} {m} {i1} {t1} {i2} {t2} {clipped}\n")
 
 
 class _SpecialPoints:
@@ -332,27 +284,13 @@ class _SpecialPoints:
         pts_x = np.stack([X, X - half, X + half, X, X])
         pts_y = np.stack([Y, Y, Y, Y - half, Y + half])
         self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
-        plus = self.b > 0.0
-        minus = self.b < 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             g = self.b / self.a
             f = np.where(self.b != 0.0, self.c / self.b, np.nan)
-        self.a_sup = np.where(plus, g, -np.inf).max(axis=0)
-        self.b_inf = np.where(plus, f, np.inf).min(axis=0)
-        self.c_sup = np.where(minus, f, -np.inf).max(axis=0)
-        self.d_inf = np.where(minus, g, np.inf).min(axis=0)
-        self.plus_any = plus.any(axis=0)
-        self.minus_any = minus.any(axis=0)
+        self.bounds = slope_bounds(g, f, self.b > 0.0, self.b < 0.0, axis=0)
 
     def intervals(self, idx: int) -> AngleIntervals:
-        return AngleIntervals(
-            float(self.a_sup[idx]),
-            float(self.b_inf[idx]),
-            float(self.c_sup[idx]),
-            float(self.d_inf[idx]),
-            not bool(self.plus_any[idx]),
-            not bool(self.minus_any[idx]),
-        )
+        return AngleIntervals(*(float(v[idx]) for v in self.bounds))
 
     def choice_is_safe(self, idx: int, choice: StencilChoice) -> bool:
         """True when gamma0/gamma2 stay nonnegative at the 4 edge midpoints.
@@ -416,10 +354,7 @@ def plan_grid(
     D = np.empty(n_int)
 
     for idx in range(n_int):
-        a_sup, b_inf, c_sup, d_inf = table.window_intervals(X[idx], Y[idx], radius)
-        ball = AngleIntervals(
-            a_sup, b_inf, c_sup, d_inf, math.isinf(a_sup), math.isinf(d_inf)
-        )
+        ball = AngleIntervals(*table.window_intervals(X[idx], Y[idx], radius))
         merged = ball.merged(specials.intervals(idx))
         intervals = ball
         try:

@@ -28,6 +28,7 @@ __all__ = [
     "CaseResult",
     "prepare",
     "run_case",
+    "dmp_row",
     "dmp_table",
     "manufactured_problem",
     "convergence_study",
@@ -147,24 +148,28 @@ def _check_zero_source(problem: Problem, grid: Grid) -> None:
         )
 
 
+def dmp_row(prepared: Prepared, n: int, solve_case) -> DmpRow:
+    """Extrema row for one grid size of a zero-source problem.
+
+    ``solve_case(n)`` runs the case and returns its CaseResult; it is called
+    only after the source has been checked to vanish on the grid.
+    """
+    grid = build_grid(n)
+    _check_zero_source(prepared.problem, grid)
+    case = solve_case(n)
+    bmin, bmax = boundary_extrema(prepared.problem, grid)
+    return DmpRow(
+        n=n,
+        boundary_min=bmin,
+        interior_min=float(case.solution.min()),
+        boundary_max=bmax,
+        interior_max=float(case.solution.max()),
+    )
+
+
 def dmp_table(prepared: Prepared, n_list, **case_kwargs) -> list[DmpRow]:
     """Boundary-vs-interior extrema rows for a zero-source problem."""
-    rows = []
-    for n in n_list:
-        grid = build_grid(n)
-        _check_zero_source(prepared.problem, grid)
-        case = run_case(prepared, n, **case_kwargs)
-        bmin, bmax = boundary_extrema(prepared.problem, grid)
-        rows.append(
-            DmpRow(
-                n=n,
-                boundary_min=bmin,
-                interior_min=float(case.solution.min()),
-                boundary_max=bmax,
-                interior_max=float(case.solution.max()),
-            )
-        )
-    return rows
+    return [dmp_row(prepared, n, lambda n: run_case(prepared, n, **case_kwargs)) for n in n_list]
 
 
 def manufactured_problem(field: DiffusionField, exact_u, name: str | None = None) -> Problem:

@@ -32,8 +32,10 @@ class TestConfigHandling:
 
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("problem exam1\n")
-        assert run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        for text in ("problem exam1", "k=abc", "m=2.5", "tol=tight", "max_iter=1e3", "probe_step=fine"):
+            cfg.write_text(f"problem=exam1\n{text}\n")
+            code = run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
+            assert code == EXIT_CONFIG, text
 
 
 class TestPlanCommand:
@@ -76,6 +78,12 @@ class TestStudyCommands:
         assert lines[0] == "N,boundary_min,interior_min,boundary_max,interior_max"
         assert len(lines) == 3
         assert "dmp=holds" in capsys.readouterr().out
+
+    def test_dmp_rejects_nonzero_source(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("dmp", "exam2", "--n", "11", "--out", str(out)) == EXIT_CONFIG
+        assert "zero source" in capsys.readouterr().err
+        assert not (out / "dmp.csv").exists()
 
     def test_converge_reports_slope(self, tmp_path, capsys):
         out = tmp_path / "o"

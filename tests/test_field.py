@@ -2,19 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from monofd.errors import ConfigError, FieldValidationError
 from monofd.field import (
     ProbeTable,
-    SplittingConstants,
     built_in_field,
     compute_constants,
-    eigen_pair,
     field_from_expressions,
-    ratio_functions,
-    validate_spd,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -54,85 +48,41 @@ class TestTensorEvaluation:
             built_in_field("exam2")
 
 
-class TestEigen:
-    def test_isotropic(self):
-        pair = eigen_pair(built_in_field("identity"), 0.5, 0.5)
-        assert pair.lambda1 == pytest.approx(1.0)
-        assert pair.lambda2 == pytest.approx(1.0)
-
-    def test_exam4_diagonal_point(self):
-        pair = eigen_pair(built_in_field("exam4", k=10), 0.0, 0.0)
-        assert pair.lambda1 == pytest.approx(10.0)
-        assert pair.lambda2 == pytest.approx(1.0)
-        assert pair.psi == pytest.approx(0.0)
-
-    def test_hand_characteristic_polynomial(self):
-        # (9,2,3): lambda = 6 +- sqrt(13) from the characteristic polynomial
-        pair = eigen_pair(constant_field(9, 2, 3), 0.1, 0.1)
-        assert pair.lambda1 == pytest.approx(6 + math.sqrt(13), rel=1e-12)
-        assert pair.lambda2 == pytest.approx(6 - math.sqrt(13), rel=1e-12)
-
-    @given(
-        st.floats(0.2, 9.0),
-        st.floats(-2.0, 2.0),
-        st.floats(0.2, 9.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_identities_random(self, a, b, c):
-        if a * c - b * b <= 1e-6:
-            return
-        field = constant_field(a, b, c)
-        pair = eigen_pair(field, 0.5, 0.5)
-        assert pair.lambda1 * pair.lambda2 == pytest.approx(a * c - b * b, rel=1e-12, abs=1e-12)
-        assert pair.lambda1 + pair.lambda2 == pytest.approx(a + c, rel=1e-12)
-        assert -math.pi / 2 <= pair.psi <= math.pi / 2
-        cp, sp = math.cos(pair.psi), math.sin(pair.psi)
-        assert pair.lambda1 * cp * cp + pair.lambda2 * sp * sp == pytest.approx(a, rel=1e-12, abs=1e-12)
-        assert (pair.lambda1 - pair.lambda2) * cp * sp == pytest.approx(b, rel=1e-12, abs=1e-12)
-        assert pair.lambda1 * sp * sp + pair.lambda2 * cp * cp == pytest.approx(c, rel=1e-12, abs=1e-12)
-
-
 class TestValidateSpd:
+    """Positive-definiteness validation, done by compute_constants."""
+
     def test_exam1_minimum_determinant(self):
-        report = validate_spd(built_in_field("exam1"), 1e-2)
-        assert report.passed
         # 27 - 16 sin^2 attains its minimum 11 exactly on the probe lattice
-        assert report.min_det == pytest.approx(11.0, abs=1e-12)
+        constants = compute_constants(built_in_field("exam1"), 1e-2)
+        assert constants.alpha_bar == pytest.approx(11.0, abs=1e-12)
 
     def test_indefinite_rejected(self):
-        report = validate_spd(constant_field(1, 2, 1), 0.25)
-        assert not report.passed
-        assert report.min_det == pytest.approx(-3.0)
+        # det = 1 > 0, but a and c are negative: negative definite
+        with pytest.raises(FieldValidationError):
+            compute_constants(constant_field(-1, 0, -1), 0.25)
 
     def test_exam4_determinant_is_k(self):
-        report = validate_spd(built_in_field("exam4", k=100), 1e-2)
-        assert report.passed
-        assert report.min_det == pytest.approx(100.0, rel=1e-12)
+        constants = compute_constants(built_in_field("exam4", k=100), 1e-2)
+        assert constants.alpha_bar == pytest.approx(100.0, rel=1e-12)
 
 
 class TestRatioFunctions:
-    def cap5(self):
-        return SplittingConstants(1, 1, 5.0, 0, 0, 0, 1.0, 1e-2)
+    """The sampled slope ratios F = c/b and G = b/a of the probe table."""
 
     def test_zero_b_point(self):
-        field = built_in_field("exam1")  # b = 0 on the x-axis
-        values = ratio_functions(field, 0.5, 0.0, self.cap5())
-        assert values.ratio_f is None
-        assert values.ratio_g == 0.0
-        assert values.f_plus == 5.0
-        assert values.f_minus == -5.0
+        table = ProbeTable(built_in_field("exam1"), 0.25)  # b = 0 on the x-axis
+        assert np.isnan(table.ratio_f[0]).all()
+        assert (table.ratio_g[0] == 0.0).all()
 
     def test_positive_b_branch(self):
-        values = ratio_functions(constant_field(9, 2, 3), 0.5, 0.5, self.cap5())
-        assert values.ratio_f == pytest.approx(1.5)
-        assert values.f_plus == pytest.approx(1.5)
-        assert values.f_minus == -5.0
-        assert values.ratio_g == pytest.approx(2.0 / 9.0)
+        table = ProbeTable(constant_field(9, 2, 3), 0.25)
+        assert table.ratio_f == pytest.approx(np.full((5, 5), 1.5))
+        assert table.ratio_g == pytest.approx(np.full((5, 5), 2.0 / 9.0))
 
     def test_negative_b_branch(self):
-        values = ratio_functions(constant_field(9, -2, 3), 0.5, 0.5, self.cap5())
-        assert values.f_minus == pytest.approx(-1.5)
-        assert values.f_plus == 5.0
+        table = ProbeTable(constant_field(9, -2, 3), 0.25)
+        assert table.ratio_f == pytest.approx(np.full((5, 5), -1.5))
+        assert table.ratio_g == pytest.approx(np.full((5, 5), -2.0 / 9.0))
 
 
 class TestComputeConstants:
@@ -161,6 +111,10 @@ class TestComputeConstants:
     def test_rejects_indefinite_field(self):
         with pytest.raises(FieldValidationError):
             compute_constants(constant_field(1, 2, 1), 0.05)
+        # 0/0 gives NaN and 1/0 gives inf at x = 0
+        for a in ("x/x + 1", "1/x"):
+            with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(FieldValidationError):
+                compute_constants(field_from_expressions("nonfinite", a, "0", "1"), 1e-2)
 
     def test_refinement_monotonicity(self):
         field = built_in_field("exam3")
@@ -170,21 +124,22 @@ class TestComputeConstants:
         assert fine.alpha >= coarse.alpha - 1e-15
 
     def test_cutoff_inequalities_on_probes(self, prep_exam4):
-        # F+ >= G + alpha_bar/alpha and F- <= G - alpha_bar/alpha everywhere.
+        # F+ >= G + alpha_bar/alpha and F- <= G - alpha_bar/alpha everywhere,
+        # with the cut-offs F+ = c/b capped at cap_m where b > 0 (cap_m
+        # elsewhere) and F- = c/b floored at -cap_m where b < 0.
         constants = prep_exam4.constants
         field = prep_exam4.problem.field
         gap = constants.alpha_bar / constants.alpha
-        rng = np.random.default_rng(3)
-        for x, y in rng.uniform(0, 1, size=(500, 2)):
-            values = ratio_functions(field, float(x), float(y), constants)
-            assert values.f_plus >= values.ratio_g + gap - 1e-9
-            assert values.f_minus <= values.ratio_g - gap + 1e-9
-            if values.ratio_f is not None:
-                a, b, c = field.tensor(float(x), float(y))
-                if b > 0:
-                    assert values.f_plus <= values.ratio_f + 1e-12
-                if b < 0:
-                    assert values.f_minus >= values.ratio_f - 1e-12
+        cap = constants.cap_m
+        x, y = np.random.default_rng(3).uniform(0, 1, size=(2, 500))
+        a, b, c = field.tensor_arrays(x, y)
+        g, f = b / a, c / b
+        f_plus = np.where((b > 0) & (f < cap), f, cap)
+        f_minus = np.where((b < 0) & (f > -cap), f, -cap)
+        assert np.all(f_plus >= g + gap - 1e-9)
+        assert np.all(f_minus <= g - gap + 1e-9)
+        assert np.all(f_plus[b > 0] <= f[b > 0] + 1e-12)
+        assert np.all(f_minus[b < 0] >= f[b < 0] - 1e-12)
 
 
 class TestProbeTable:

@@ -1,11 +1,9 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monofd.errors import GridError
-from monofd.grid import ball_nodes, build_grid
+from monofd.grid import build_grid
 
 
 def test_smallest_grid():
@@ -53,43 +51,6 @@ def test_linear_roundtrip(n, data):
     assert (node.j, node.k) == (j, k)
 
 
-def test_ball_nodes_hand_enumeration():
-    # Oracle: enumerate all 25 nodes of the N=4 grid and filter by distance.
-    grid = build_grid(4)
-    expected = []
-    for j in range(5):
-        for k in range(5):
-            x, y = j / 4, k / 4
-            if (x - 0.5) ** 2 + (y - 0.5) ** 2 < 0.3**2:
-                expected.append((x, y))
-    got = ball_nodes(grid, (2, 2), 0.3)
-    assert sorted(got) == sorted(expected)
-    assert len(got) == 5  # center plus 4 axis neighbors; diagonals at 0.3536 excluded
-
-
-def test_ball_nodes_extremes():
-    grid = build_grid(4)
-    assert len(ball_nodes(grid, (2, 2), 10.0)) == 25
-    assert ball_nodes(grid, (2, 2), 1e-9) == [(0.5, 0.5)]
-    with pytest.raises(GridError):
-        ball_nodes(grid, (2, 2), 0.0)
-
-
-def test_ball_nodes_reflection_symmetry():
-    grid = build_grid(6)
-    left = ball_nodes(grid, (2, 3), 0.4)
-    right = ball_nodes(grid, (4, 3), 0.4)
-    mirrored = sorted((round(1.0 - x, 12), y) for x, y in right)
-    assert sorted((round(x, 12), y) for x, y in left) == mirrored
-
-
-def test_ball_strict_inequality():
-    grid = build_grid(4)
-    # radius exactly the axis-neighbor distance: open ball excludes them
-    assert ball_nodes(grid, (2, 2), 0.25) == [(0.5, 0.5)]
-    assert len(ball_nodes(grid, (2, 2), 0.25 + 1e-12)) == 5
-
-
 def test_interior_coords_ordering():
     grid = build_grid(4)
     X, Y = grid.interior_coords()
@@ -98,9 +59,3 @@ def test_interior_coords_ordering():
     assert Y[:3] == pytest.approx([0.25, 0.25, 0.25])
     idx = grid.linear_index(2, 3)
     assert (X[idx], Y[idx]) == (0.5, 0.75)
-
-
-def test_diameter_sanity():
-    grid = build_grid(3)
-    corner_dist = math.hypot(1.0, 1.0)
-    assert len(ball_nodes(grid, (0, 0), corner_dist + 1e-9)) == 16

@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monofd.errors import PlanError
+from monofd.assembly import directional_term_row
+from monofd.errors import AssemblyError, PlanError
 from monofd.field import built_in_field, field_from_expressions
-from monofd.splitting import (
-    angle_intervals,
-    split_coefficients,
-    split_values,
-    verify_nonnegative,
-)
+from monofd.splitting import GAMMA_TOLERANCE, AngleIntervals, slope_bounds, split_values
 
 
 def region_grid(x0, x1, y0, y1, n=21):
@@ -22,24 +18,48 @@ def region_grid(x0, x1, y0, y1, n=21):
     return np.column_stack([X.ravel(), Y.ravel()])
 
 
+def ratios(field, x, y):
+    """Tensor samples as the slope_bounds inputs (g, f, plus, minus)."""
+    a, b, c = field.tensor_arrays(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = np.where(b != 0.0, c / b, np.nan)
+    return b / a, f, b > 0.0, b < 0.0
+
+
+def region_intervals(field, region):
+    return AngleIntervals(*map(float, slope_bounds(*ratios(field, region[:, 0], region[:, 1]))))
+
+
 class TestAngleIntervals:
     def test_zero_b_region_both_empty(self):
         field = built_in_field("identity")
-        iv = angle_intervals(field, region_grid(0.2, 0.8, 0.2, 0.8))
+        iv = region_intervals(field, region_grid(0.2, 0.8, 0.2, 0.8))
+        assert (iv.a_sup, iv.b_inf, iv.c_sup, iv.d_inf) == (-np.inf, np.inf, -np.inf, np.inf)
         assert iv.plus_empty and iv.minus_empty
 
     def test_constant_field_single_values(self):
         field = field_from_expressions("c923", 9, 2, 3)
-        iv = angle_intervals(field, region_grid(0.1, 0.4, 0.1, 0.4))
-        assert iv.a_sup == pytest.approx(2 / 9)
-        assert iv.b_inf == pytest.approx(1.5)
+        iv = region_intervals(field, region_grid(0.1, 0.4, 0.1, 0.4))
+        assert (iv.a_sup, iv.b_inf, iv.c_sup, iv.d_inf) == (2 / 9, 1.5, -np.inf, np.inf)
         assert iv.minus_empty and not iv.plus_empty
+
+    def test_axis0_matches_column_reductions(self):
+        # columns mix both signs of b, one sign only, and b = 0 only
+        field = built_in_field("exam3")
+        x = np.array([[0.7, 0.2, 0.6, 0.0], [0.8, 0.3, 0.9, 0.0], [0.5, 0.1, 0.95, 0.0]])
+        y = np.array([[0.7, 0.2, 0.6, 0.4], [0.8, 0.3, 0.9, 0.5], [0.6, 0.1, 0.95, 0.6]])
+        g, f, plus, minus = ratios(field, x, y)
+        assert plus.any() and minus.any()
+        columns = slope_bounds(g, f, plus, minus, axis=0)
+        for col in range(x.shape[1]):
+            whole = slope_bounds(g[:, col], f[:, col], plus[:, col], minus[:, col])
+            assert tuple(v[col] for v in columns) == whole
 
     def test_sign_changing_region_vs_bruteforce(self):
         # Oracle: dense 1e-4-pitch sampling of the same rectangle.
         field = built_in_field("exam3")
         x0, x1, y0, y1 = 0.55, 0.75, 0.6, 0.8  # b changes sign across xy=0.5
-        iv = angle_intervals(field, region_grid(x0, x1, y0, y1, 64))
+        iv = region_intervals(field, region_grid(x0, x1, y0, y1, 64))
         xs = np.arange(x0, x1 + 1e-12, 1e-4)
         ys = np.arange(y0, y1 + 1e-12, 1e-4)
         X, Y = np.meshgrid(xs, ys)
@@ -56,38 +76,36 @@ class TestAngleIntervals:
 
     def test_antitone_in_region_growth(self):
         field = built_in_field("exam1")
-        small = angle_intervals(field, region_grid(0.3, 0.5, 0.3, 0.5))
-        large = angle_intervals(field, region_grid(0.2, 0.6, 0.2, 0.6))
+        small = region_intervals(field, region_grid(0.3, 0.5, 0.3, 0.5))
+        large = region_intervals(field, region_grid(0.2, 0.6, 0.2, 0.6))
         assert large.a_sup >= small.a_sup
         assert large.b_inf <= small.b_inf
 
 
 class TestSplitCoefficients:
     def test_positive_branch_hand_values(self):
-        field = field_from_expressions("c923", 9, 2, 3)
-        g0, g1p, g1m, g2 = split_coefficients(field, math.pi / 4, None, 0.5, 0.5)
+        g0, g1p, g1m, g2 = split_values(9.0, 2.0, 3.0, math.tan(math.pi / 4), None)
         assert (g0, g1p, g1m, g2) == pytest.approx((7.0, 4.0, 0.0, 1.0))
 
     def test_zero_b_any_angle(self):
-        field = built_in_field("identity")
-        g0, g1p, g1m, g2 = split_coefficients(field, 1.0, -1.0, 0.3, 0.3)
+        g0, g1p, g1m, g2 = split_values(1.0, 0.0, 1.0, math.tan(1.0), math.tan(-1.0))
         assert (g0, g1p, g1m, g2) == (1.0, 0.0, 0.0, 1.0)
 
     def test_negative_branch_mirror(self):
-        field = field_from_expressions("c9m23", 9, -2, 3)
-        g0, g1p, g1m, g2 = split_coefficients(field, None, -math.pi / 4, 0.5, 0.5)
+        g0, g1p, g1m, g2 = split_values(9.0, -2.0, 3.0, None, math.tan(-math.pi / 4))
         assert (g0, g1p, g1m, g2) == pytest.approx((7.0, 0.0, 4.0, 1.0))
 
     def test_inadmissible_angle_refused(self):
-        field = field_from_expressions("c923", 9, 2, 3)
-        # tan(beta1) must exceed b/a = 2/9; pick something smaller
-        with pytest.raises(PlanError):
-            split_coefficients(field, math.atan(0.1), None, 0.5, 0.5)
+        # tan(beta1) must exceed b/a = 2/9; a smaller slope makes gamma0
+        # negative, which assembly refuses
+        g0, _, _, _ = split_values(9.0, 2.0, 3.0, 0.1, None)
+        assert g0 < GAMMA_TOLERANCE
+        with pytest.raises(AssemblyError):
+            directional_term_row(g0, g0, 0.1, 0.1)
 
     def test_missing_direction_is_plan_error(self):
-        field = field_from_expressions("c923", 9, 2, 3)
         with pytest.raises(PlanError):
-            split_coefficients(field, None, -math.pi / 4, 0.5, 0.5)
+            split_values(9.0, 2.0, 3.0, None, math.tan(-math.pi / 4))
 
 
 def reconstruct(g0, g1p, g1m, g2, tan1, tan2):
@@ -147,24 +165,28 @@ class TestReconstructionIdentity:
         assert minus[3] == pytest.approx(plus[3], rel=1e-12)
 
 
+def min_split(field, tan1, tan2, region):
+    """Minimum of each splitting coefficient over the region samples."""
+    a, b, c = field.tensor_arrays(region[:, 0], region[:, 1])
+    values = [split_values(*abc, tan1, tan2) for abc in zip(a, b, c)]
+    return np.min(values, axis=0)
+
+
 class TestVerifyNonnegative:
     def test_identity_any_angle(self):
         field = built_in_field("identity")
-        report = verify_nonnegative(field, 0.7, -0.7, region_grid(0, 1, 0, 1))
-        assert report.passed
+        mins = min_split(field, math.tan(0.7), math.tan(-0.7), region_grid(0, 1, 0, 1))
+        assert mins.min() >= GAMMA_TOLERANCE
 
     def test_exam1_planner_ball(self, prep_exam1):
         field = prep_exam1.problem.field
         # global admissible pair for this tensor: slopes strictly inside
         # (sup b/a, inf c/b) = (4/9, 3/4) and its mirror image
-        beta1 = math.atan(0.6)
-        report = verify_nonnegative(field, beta1, -beta1, region_grid(0, 1, 0, 1, 51))
-        assert report.passed
+        mins = min_split(field, 0.6, -0.6, region_grid(0, 1, 0, 1, 51))
+        assert mins.min() >= GAMMA_TOLERANCE
 
     def test_out_of_interval_angle_fails_with_witness(self):
         field = field_from_expressions("c923", 9, 2, 3)
-        region = region_grid(0.2, 0.8, 0.2, 0.8)
-        bad = math.atan(1.5 + 0.1)  # just beyond inf c/b = 1.5
-        report = verify_nonnegative(field, bad, None, region)
-        assert not report.passed
-        assert report.min_gamma2 < 0
+        bad = 1.5 + 0.1  # just beyond inf c/b = 1.5
+        mins = min_split(field, bad, None, region_grid(0.2, 0.8, 0.2, 0.8))
+        assert mins[3] < 0

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from monofd.stencil import (
 
 
 def intervals(a=-np.inf, b=np.inf, c=-np.inf, d=np.inf):
-    return AngleIntervals(a, b, c, d, plus_empty=math.isinf(a), minus_empty=math.isinf(d))
+    return AngleIntervals(a, b, c, d)
 
 
 class TestPrincipalDirections:
@@ -243,14 +244,26 @@ class TestPlanGrid:
         assert plan.m_histogram() == {2: 196}
 
     def test_node_plan_materialization(self, prep_exam1):
+        # each dump line restates the node's plan and counts the arms of its
+        # planned directions that clip_arm shortens at the boundary
         grid = build_grid(15)
         plan = plan_grid(grid, prep_exam1.problem.field, prep_exam1.constants, prep_exam1.table)
-        node = plan.node_plan(1, 1)
-        assert node.m in (1, 2)
-        if node.i1 is not None:
-            assert node.arm1 is not None
-            for end in node.arm1:
-                assert end.distance > 0
+        stream = io.StringIO()
+        plan.dump(stream)
+        rows = [line.split() for line in stream.getvalue().splitlines()[1:]]
+        assert len(rows) == grid.interior_count
+        for idx, (j, k, m, i1, _, i2, _, clipped) in enumerate(rows):
+            node = grid.node_from_linear(idx)
+            assert (int(j), int(k)) == (node.j, node.k)
+            assert (int(m), int(i1), int(i2)) == (plan.m[idx], plan.i1[idx], plan.i2[idx])
+            offsets = principal_directions(int(m)).offsets
+            ends = [
+                clip_arm(grid, (node.j, node.k), (sign * offsets[i][0], sign * offsets[i][1]))
+                for i in (int(i1), int(i2)) if i
+                for sign in (1, -1)
+            ]
+            assert int(clipped) == sum(end.kind == "boundary" for end in ends)
+        assert any(int(row[-1]) > 0 for row in rows)
 
     def test_dump_format(self, prep_exam3, tmp_path):
         grid = build_grid(5)
