@@ -6,8 +6,9 @@ command-line flags win over config entries.  Every run writes a manifest with
 the resolved configuration, the field constants, plan summaries, and library
 versions.
 
-Exit codes: 0 success, 2 config error, 3 planning failure, 4 audit failure,
-5 solver non-convergence.
+Exit codes: 0 success, 2 config error (a tensor field that is not finite and
+positive definite included), 3 planning failure, 4 audit failure, 5 solver
+non-convergence.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .assembly import Problem, assemble, export_matrix, export_rhs
 from .errors import (
     AuditError,
     ConfigError,
+    FieldValidationError,
     MonofdError,
     PlanningError,
     SolverError,
@@ -238,6 +240,10 @@ def _describe_constants(rep: Reporter, prepared: Prepared) -> None:
 def _describe_plan(rep: Reporter, name: str, n: int, plan, mesh) -> None:
     hist = ", ".join(f"m={m}: {count}" for m, count in sorted(plan.m_histogram().items()))
     rep.emit(f"N={n}: max half-width m = {plan.max_m} ({hist})")
+    rep.emit(
+        f"N={n}: planning balls without a probe sample: {plan.empty_balls}; "
+        f"nodes replanned with edge midpoints: {plan.fallback_nodes}"
+    )
     reference = REFERENCE_MAX_M.get(name)
     if reference is not None:
         rep.emit(f"N={n}: reference max m for {name}: {reference} (achieved {plan.max_m})")
@@ -423,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         rep = Reporter(cfg, args.command, argv)
         code = _COMMANDS[args.command](cfg, rep)
         return code
-    except ConfigError as exc:
+    except (ConfigError, FieldValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PlanningError as exc:

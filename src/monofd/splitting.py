@@ -22,6 +22,8 @@ from .errors import PlanError
 __all__ = [
     "AngleIntervals",
     "slope_bounds",
+    "masked_ratios",
+    "SLOPE_REDUCTIONS",
     "split_values",
     "GAMMA_TOLERANCE",
 ]
@@ -52,14 +54,23 @@ class AngleIntervals:
     def minus_empty(self) -> bool:
         return self.d_inf == np.inf
 
-    def merged(self, other: "AngleIntervals") -> "AngleIntervals":
-        """Intervals over the union of the two sample regions."""
-        return AngleIntervals(
-            a_sup=max(self.a_sup, other.a_sup),
-            b_inf=min(self.b_inf, other.b_inf),
-            c_sup=max(self.c_sup, other.c_sup),
-            d_inf=min(self.d_inf, other.d_inf),
-        )
+
+# Reduction and empty-part value of each slope bound, in (A, B, C, D) order.
+SLOPE_REDUCTIONS = (
+    (np.maximum, -np.inf),
+    (np.minimum, np.inf),
+    (np.maximum, -np.inf),
+    (np.minimum, np.inf),
+)
+
+
+def masked_ratios(g, f, plus, minus):
+    """g and f with the samples outside each bound's sign part set to its
+    empty-part value: (g on plus, f on plus, f on minus, g on minus)."""
+    return tuple(
+        np.where(part, ratio, fill)
+        for (_, fill), part, ratio in zip(SLOPE_REDUCTIONS, (plus, plus, minus, minus), (g, f, f, g))
+    )
 
 
 def slope_bounds(g, f, plus, minus, axis=None):
@@ -69,13 +80,9 @@ def slope_bounds(g, f, plus, minus, axis=None):
     reduced over ``axis``, with -inf/+inf standing in for an empty part.
     ``plus``/``minus`` mark the samples with b > 0 and b < 0.
     """
-    # The ufunc reductions skip the ndarray.max/min wrappers, a measurable
-    # share of the cost on the small windows the planner gathers per node.
-    return (
-        np.maximum.reduce(np.where(plus, g, -np.inf), axis),
-        np.minimum.reduce(np.where(plus, f, np.inf), axis),
-        np.maximum.reduce(np.where(minus, f, -np.inf), axis),
-        np.minimum.reduce(np.where(minus, g, np.inf), axis),
+    return tuple(
+        ufunc.reduce(values, axis)
+        for (ufunc, _), values in zip(SLOPE_REDUCTIONS, masked_ratios(g, f, plus, minus))
     )
 
 

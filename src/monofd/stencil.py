@@ -10,11 +10,18 @@ the outer ring of the (2m+1) x (2m+1) stencil, indexed by i in
 
 The planner picks, per interior node, the smallest m whose direction table
 contains slopes strictly inside the node's admissible intervals.  Intervals
-are sampled over the ball of the field-wide planning radius around the node,
-always augmented with the node itself and its four axis-edge midpoints: the
-x- and y-term coefficients are evaluated exactly there during assembly, so
-covering them makes the assembled sign structure follow from strict interval
-placement rather than from a mesh-size assumption.
+are sampled over the ball of the field-wide planning radius around the node.
+The chosen slopes are then checked at the node's four axis-edge midpoints,
+where assembly evaluates the x- and y-term coefficients; a node that fails
+is replanned over the ball augmented with its center and those midpoints,
+so the assembled sign structure follows from strict interval placement
+rather than from a mesh-size assumption.
+
+Planning is batched: the ball bounds of every node come from one
+``ProbeTable.ball_bounds`` call, and selection runs as one pass per
+half-width m over the nodes still unresolved, first over all nodes and
+then over the fallback subset.  ``select_stencil`` and
+``ProbeTable.window_intervals`` are the one-node forms of the same kernels.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from .errors import PlanningError
 from .field import DiffusionField, ProbeTable, SplittingConstants
 from .grid import Grid
-from .splitting import AngleIntervals, slope_bounds
+from .splitting import SLOPE_REDUCTIONS, AngleIntervals, slope_bounds
 
 __all__ = [
     "PrincipalDirections",
@@ -92,55 +99,93 @@ class StencilChoice:
     tan2: float | None
 
 
-def _pick_integer(lo: float, hi: float, lo_clamp: int | None = None, hi_clamp: int | None = None) -> int | None:
-    """Integer strictly inside (lo, hi) closest to the midpoint; ties take smaller |i|."""
-    low = int(math.floor(lo)) + 1
-    high = int(math.ceil(hi)) - 1
+def _pick_integer(lo, hi, lo_clamp=None, hi_clamp=None):
+    """Integer strictly inside (lo, hi) closest to the midpoint; ties take smaller |i|.
+
+    Elementwise over arrays, within the clamps when given.  Returns int64
+    values with 0 where the range holds no integer; the planner's clamps
+    keep 0 out of every range it asks about.
+    """
+    low = np.floor(lo) + 1.0
+    high = np.ceil(hi) - 1.0
     if lo_clamp is not None:
-        low = max(low, lo_clamp)
+        low = np.maximum(low, lo_clamp)
     if hi_clamp is not None:
-        high = min(high, hi_clamp)
-    if low > high:
-        return None
+        high = np.minimum(high, hi_clamp)
     mid = 0.5 * (lo + hi)
-    candidates = sorted(range(low, high + 1), key=lambda i: (abs(i - mid), abs(i)))
-    return candidates[0]
+    # The nearest integers to mid in [low, high] are its floor and the next
+    # one, each clamped into the range.
+    below = np.clip(np.floor(mid), low, high)
+    above = np.clip(below + 1.0, low, high)
+    d_below, d_above = np.abs(below - mid), np.abs(above - mid)
+    take_above = (d_above < d_below) | ((d_above == d_below) & (np.abs(above) < np.abs(below)))
+    return np.where(low <= high, np.where(take_above, above, below), 0.0).astype(np.int64)
 
 
-def _shrunk(lo: float, hi: float, safety: float) -> tuple[float, float]:
-    width = hi - lo
-    delta = safety * min(width, 1.0)
+def _shrunk(lo, hi, safety: float):
+    delta = safety * np.minimum(hi - lo, 1.0)
     return lo + delta, hi - delta
 
 
-def _plus_direction(m: int, intervals: AngleIntervals, safety: float) -> tuple[int, float] | None:
-    """Direction index for tan(beta1) in the shrunk (a_sup, b_inf), or None."""
-    lo, hi = _shrunk(intervals.a_sup, intervals.b_inf, safety)
-    if not lo < hi:
-        return None
-    if lo < 1.0 < hi:
-        return m, 1.0
-    if hi <= 1.0:
-        i = _pick_integer(m * lo, m * hi, lo_clamp=1)
-        return (i, i / m) if i is not None else None
+def _direction(m: int, lo, hi):
+    """Direction index (0 for none) and slope for tan(beta1) in (lo, hi).
+
+    The b<0 part's tan(beta2) in (lo, hi) is the mirror image: negate the
+    result for (-hi, -lo).
+    """
+    flat = _pick_integer(m * lo, m * hi, lo_clamp=1)
     # 1 <= lo < hi: slopes m/q with q counted from the vertical
     q = _pick_integer(m / hi, m / lo, lo_clamp=1, hi_clamp=m - 1)
-    return (2 * m - q, m / q) if q is not None else None
+    cases = [~(lo < hi), (lo < 1.0) & (1.0 < hi), hi <= 1.0]
+    i = np.select(cases, [0, m, flat], np.where(q != 0, 2 * m - q, 0))
+    return i, np.select(cases[1:], [1.0, flat / m], m / q)
 
 
-def _minus_direction(m: int, intervals: AngleIntervals, safety: float) -> tuple[int, float] | None:
-    """Direction index for tan(beta2) in the shrunk (c_sup, d_inf), or None."""
-    lo, hi = _shrunk(intervals.c_sup, intervals.d_inf, safety)
-    if not lo < hi:
-        return None
-    if lo < -1.0 < hi:
-        return -m, -1.0
-    if lo >= -1.0:
-        i = _pick_integer(m * lo, m * hi, hi_clamp=-1)
-        return (i, i / m) if i is not None else None
-    # lo < hi <= -1: slopes m/q with negative q
-    q = _pick_integer(m / hi, m / lo, lo_clamp=-(m - 1), hi_clamp=-1)
-    return (-2 * m - q, m / q) if q is not None else None
+def _select(bounds, m_cap: int, safety: float, fixed_m: int | None):
+    """``select_stencil`` for arrays of bounds (A, B, C, D).
+
+    Returns int32 arrays m, i1, i2 and float arrays tan1, tan2, with m = 0
+    where no half-width up to the cap fits, index 0 and slope nan where a
+    sign part is empty.  Each pass over m handles only the nodes still open.
+    """
+    a_sup, b_inf, c_sup, d_inf = bounds
+    n = a_sup.size
+    m_out, i1, i2 = (np.zeros(n, dtype=np.int32) for _ in range(3))
+    tan1, tan2 = np.full(n, np.nan), np.full(n, np.nan)
+    need_plus, need_minus = a_sup != -np.inf, d_inf != np.inf
+    m_values = [fixed_m] if fixed_m is not None else range(1, m_cap + 1)
+    todo = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for margin in (safety, 0.0) if safety > 0.0 else (0.0,):
+            plus_lo, plus_hi = _shrunk(a_sup[todo], b_inf[todo], margin)
+            lo, hi = _shrunk(c_sup[todo], d_inf[todo], margin)
+            mirror_lo, mirror_hi = -hi, -lo  # the b<0 part on positive slopes
+            for m in m_values:
+                if todo.size == 0:
+                    break
+                p_i, p_tan = _direction(m, plus_lo, plus_hi)
+                n_i, n_tan = (-v for v in _direction(m, mirror_lo, mirror_hi))
+                has_plus, has_minus = need_plus[todo], need_minus[todo]
+                done = ((p_i != 0) | ~has_plus) & ((n_i != 0) | ~has_minus)
+                m_out[todo[done]] = m
+                for ok, idx_out, tan_out, idx, tan in (
+                    (done & has_plus, i1, tan1, p_i, p_tan),
+                    (done & has_minus, i2, tan2, n_i, n_tan),
+                ):
+                    idx_out[todo[ok]] = idx[ok]
+                    tan_out[todo[ok]] = tan[ok]
+                keep = ~done
+                todo = todo[keep]
+                plus_lo, plus_hi = plus_lo[keep], plus_hi[keep]
+                mirror_lo, mirror_hi = mirror_lo[keep], mirror_hi[keep]
+    return m_out, i1, i2, tan1, tan2
+
+
+def _no_stencil(intervals: AngleIntervals, m_cap: int) -> PlanningError:
+    return PlanningError(
+        f"no admissible stencil with half-width <= {m_cap} for intervals {intervals}",
+        intervals=intervals,
+    )
 
 
 def select_stencil(
@@ -154,23 +199,19 @@ def select_stencil(
     The search first applies the safety margin; if nothing fits under the cap
     it retries on the raw open intervals, so the guaranteed bound on m is not
     weakened by the margin.  Empty sign parts impose no constraint.
+    One-node form of the planner's array selection.
     """
-    m_values = [fixed_m] if fixed_m is not None else range(1, m_cap + 1)
-    plus_empty, minus_empty = intervals.plus_empty, intervals.minus_empty
-    for margin in (safety, 0.0) if safety > 0.0 else (0.0,):
-        for m in m_values:
-            plus = None if plus_empty else _plus_direction(m, intervals, margin)
-            if plus is None and not plus_empty:
-                continue
-            minus = None if minus_empty else _minus_direction(m, intervals, margin)
-            if minus is None and not minus_empty:
-                continue
-            i1, tan1 = plus if plus is not None else (None, None)
-            i2, tan2 = minus if minus is not None else (None, None)
-            return StencilChoice(m, i1, i2, tan1, tan2)
-    raise PlanningError(
-        f"no admissible stencil with half-width <= {m_cap} for intervals {intervals}",
-        intervals=intervals,
+    bounds = tuple(np.array([v], dtype=float) for v in
+                   (intervals.a_sup, intervals.b_inf, intervals.c_sup, intervals.d_inf))
+    m, i1, i2, tan1, tan2 = (v[0] for v in _select(bounds, m_cap, safety, fixed_m))
+    if m == 0:
+        raise _no_stencil(intervals, m_cap)
+    return StencilChoice(
+        int(m),
+        int(i1) if i1 else None,
+        int(i2) if i2 else None,
+        float(tan1) if i1 else None,
+        float(tan2) if i2 else None,
     )
 
 
@@ -241,6 +282,8 @@ class GridPlan:
     b_inf: np.ndarray
     c_sup: np.ndarray
     d_inf: np.ndarray
+    fallback_nodes: int = 0  # nodes replanned over the midpoint-augmented intervals
+    empty_balls: int = 0  # nodes whose planning ball held no probe sample
 
     @property
     def max_m(self) -> int:
@@ -289,31 +332,18 @@ class _SpecialPoints:
             f = np.where(self.b != 0.0, self.c / self.b, np.nan)
         self.bounds = slope_bounds(g, f, self.b > 0.0, self.b < 0.0, axis=0)
 
-    def intervals(self, idx: int) -> AngleIntervals:
-        return AngleIntervals(*(float(v[idx]) for v in self.bounds))
-
-    def choice_is_safe(self, idx: int, choice: StencilChoice) -> bool:
-        """True when gamma0/gamma2 stay nonnegative at the 4 edge midpoints.
+    def choice_is_safe(self, idx: np.ndarray, tan1: np.ndarray, tan2: np.ndarray) -> np.ndarray:
+        """Per node of ``idx``: gamma0/gamma2 stay nonnegative at the 4 edge midpoints.
 
         Midpoints carrying a sign of b for which the choice has no direction
-        are unsafe by definition (assembly could not evaluate them).
+        (slope nan) are unsafe by definition (assembly could not evaluate them).
         """
-        for col in range(1, 5):
-            b = float(self.b[col, idx])
-            if b == 0.0:
-                continue
-            tan = choice.tan1 if b > 0.0 else choice.tan2
-            if tan is None:
-                return False
-            a = float(self.a[col, idx])
-            c = float(self.c[col, idx])
-            if col in (1, 2):  # x-edge midpoints carry gamma0
-                if a - b / tan < 0.0:
-                    return False
-            else:  # y-edge midpoints carry gamma2
-                if c - b * tan < 0.0:
-                    return False
-        return True
+        a, b, c = self.a[1:, idx], self.b[1:, idx], self.c[1:, idx]
+        tan = np.where(b > 0.0, tan1, tan2)
+        gamma = np.concatenate([a[:2] - b[:2] / tan[:2],  # x-edge midpoints carry gamma0
+                                c[2:] - b[2:] * tan[2:]])  # y-edge midpoints carry gamma2
+        unsafe = (b != 0.0) & (np.isnan(tan) | (gamma < 0.0))
+        return ~unsafe.any(axis=0)
 
 
 def plan_grid(
@@ -338,74 +368,53 @@ def plan_grid(
         m_cap = stencil_upper_bound(constants)
     if fixed_m is not None and fixed_m < 1:
         raise PlanningError(f"fixed stencil half-width must be >= 1, got {fixed_m}")
-    n_int = grid.interior_count
     X, Y = grid.interior_coords()
     specials = _SpecialPoints(field, grid)
-    radius = constants.radius
+    bounds, empty = table.ball_bounds(X, Y, constants.radius)
+    m, i1, i2, tan1, tan2 = _select(bounds, m_cap, safety, fixed_m)
+    every = np.arange(X.size)
+    fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, tan1, tan2))
 
-    m_arr = np.zeros(n_int, dtype=np.int32)
-    i1_arr = np.zeros(n_int, dtype=np.int32)
-    i2_arr = np.zeros(n_int, dtype=np.int32)
-    tan1_arr = np.full(n_int, np.nan)
-    tan2_arr = np.full(n_int, np.nan)
-    A = np.empty(n_int)
-    B = np.empty(n_int)
-    C = np.empty(n_int)
-    D = np.empty(n_int)
-
-    for idx in range(n_int):
-        ball = AngleIntervals(*table.window_intervals(X[idx], Y[idx], radius))
-        merged = ball.merged(specials.intervals(idx))
-        intervals = ball
-        try:
-            choice = select_stencil(ball, m_cap, safety=safety, fixed_m=fixed_m)
-            if not specials.choice_is_safe(idx, choice):
-                choice = None
-        except PlanningError:
-            choice = None
-        if choice is None:
-            # The midpoints are exact members of the merged sample set, so
-            # strict placement alone protects them; no margin here keeps the
-            # fallback stencils as small as possible.
-            intervals = merged
-            try:
-                choice = select_stencil(merged, m_cap, safety=0.0, fixed_m=fixed_m)
-            except PlanningError as exc:
-                node = grid.node_from_linear(idx)
-                raise PlanningError(
-                    f"planning failed at node (j={node.j}, k={node.k}): {exc}",
-                    node=(node.j, node.k),
-                    intervals=merged,
-                ) from exc
-            if not specials.choice_is_safe(idx, choice):
-                node = grid.node_from_linear(idx)
-                raise PlanningError(
-                    f"no sign-safe direction pair at node (j={node.j}, k={node.k})",
-                    node=(node.j, node.k),
-                    intervals=merged,
-                )
-        A[idx], B[idx] = intervals.a_sup, intervals.b_inf
-        C[idx], D[idx] = intervals.c_sup, intervals.d_inf
-        m_arr[idx] = choice.m
-        if choice.i1 is not None:
-            i1_arr[idx] = choice.i1
-            tan1_arr[idx] = choice.tan1
-        if choice.i2 is not None:
-            i2_arr[idx] = choice.i2
-            tan2_arr[idx] = choice.tan2
+    # The midpoints are exact members of the merged sample set, so strict
+    # placement alone protects them; no margin here keeps the fallback
+    # stencils as small as possible.
+    merged = tuple(
+        ufunc(ball[fallback], special[fallback])
+        for (ufunc, _), ball, special in zip(SLOPE_REDUCTIONS, bounds, specials.bounds)
+    )
+    replan = _select(merged, m_cap, 0.0, fixed_m)
+    failed = replan[0] == 0
+    unsafe = ~failed & ~specials.choice_is_safe(fallback, replan[3], replan[4])
+    bad = failed | unsafe
+    if bad.any():
+        first = int(np.argmax(bad))
+        node = grid.node_from_linear(int(fallback[first]))
+        intervals = AngleIntervals(*(float(v[first]) for v in merged))
+        if failed[first]:
+            exc = _no_stencil(intervals, m_cap)
+            message = f"planning failed at node (j={node.j}, k={node.k}): {exc}"
+        else:
+            message = f"no sign-safe direction pair at node (j={node.j}, k={node.k})"
+        raise PlanningError(message, node=(node.j, node.k), intervals=intervals)
+    for out, values in zip((m, i1, i2, tan1, tan2), replan):
+        out[fallback] = values
+    for ball, values in zip(bounds, merged):
+        ball[fallback] = values
 
     return GridPlan(
         grid=grid,
         constants=constants,
-        m=m_arr,
-        i1=i1_arr,
-        i2=i2_arr,
-        tan1=tan1_arr,
-        tan2=tan2_arr,
-        a_sup=A,
-        b_inf=B,
-        c_sup=C,
-        d_inf=D,
+        m=m,
+        i1=i1,
+        i2=i2,
+        tan1=tan1,
+        tan2=tan2,
+        a_sup=bounds[0],
+        b_inf=bounds[1],
+        c_sup=bounds[2],
+        d_inf=bounds[3],
+        fallback_nodes=int(fallback.size),
+        empty_balls=int(empty.sum()),
     )
 
 

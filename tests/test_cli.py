@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import monofd
 
 from monofd.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -30,6 +37,20 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert "N=7" in out and "N=5" not in out
 
+    def test_non_finite_field_is_config_error(self, tmp_path):
+        # x/x is 0/0 on the x = 0 edge of the probe lattice: one line on
+        # stderr, no numpy RuntimeWarning ahead of it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=x/x + 1\nb=0\nc=1\nf=0\ng=x\nn=4\nprobe_step=0.05\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(monofd.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "monofd.cli", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "not finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         for text in ("problem exam1", "k=abc", "m=2.5", "tol=tight", "max_iter=1e3", "probe_step=fine"):
@@ -49,6 +70,14 @@ class TestPlanCommand:
         assert (tmp_path / "plan_N21.txt").exists()
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "versions:" in manifest and "probe_step=0.002" in manifest
+
+    def test_manifest_reports_plan_counters(self, tmp_path):
+        # exam4 k=100: no planning ball holds a probe sample, so every node
+        # is replanned on its edge midpoints.
+        assert run_cli("plan", "exam4", "--k", "100", "--n", "201", "--out", str(tmp_path)) == EXIT_OK
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert ("N=201: planning balls without a probe sample: 40000; "
+                "nodes replanned with edge midpoints: 40000") in manifest
 
 
 class TestSolveCommand:

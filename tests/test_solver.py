@@ -7,7 +7,7 @@ from monofd.errors import SolverError
 from monofd.expressions import parse_expression
 from monofd.field import ProbeTable, built_in_field, compute_constants
 from monofd.grid import build_grid
-from monofd.solver import residual, solve
+from monofd.solver import _solve_direct, _solve_krylov, residual, solve
 from monofd.stencil import plan_grid
 from monofd.assembly import Problem
 
@@ -98,3 +98,16 @@ def test_default_max_iter_contract():
     u, report = solve(system, tol=1e-10, max_iter=None)
     assert report.converged
     assert report.iterations >= 1
+
+
+def test_krylov_branch_agrees_with_lu(prep_exam3):
+    # The ILU-BiCGStab branch runs only past the direct-solve limit in
+    # production; called directly here on a small exam3 system.
+    grid = build_grid(31)
+    plan = plan_grid(grid, prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
+    system = assemble(prep_exam3.problem, grid, plan)
+    u_krylov, report = _solve_krylov(system, 1e-10, 10 * system.dimension)
+    u_direct, _ = _solve_direct(system, 1e-10)
+    assert report.converged and report.method_name == "ilu-bicgstab"
+    assert report.final_relative_residual <= 1e-10
+    assert np.max(np.abs(u_krylov - u_direct)) <= 1e-8
