@@ -14,14 +14,14 @@ so the Z-pattern of the matrix follows directly from the plan.  Weights that
 reference boundary nodes or clipped boundary intersections multiply the
 Dirichlet data and move to the right-hand side.
 
-Interior nodes are swept in row-major linear order; directional terms are
-assembled per (half-width, direction) group so the coefficient evaluations
-stay vectorized, with a scalar path for arms clipped at the boundary.
+Interior nodes are numbered in row-major linear order.  The axis terms are
+one array pass per axis; the directional terms are one array pass per sign
+part of b over every node planned with a direction of that sign, its arms
+clipped at the boundary and weighted by the unequal-arm formula above.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +33,7 @@ from .errors import AssemblyError
 from .field import DiffusionField
 from .grid import Grid
 from .splitting import GAMMA_TOLERANCE
-from .stencil import GridPlan, clip_arm, principal_directions
+from .stencil import GridPlan, clip_arms, direction_offsets
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,15 @@ class MatrixAudit:
     passed: bool
 
 
-def directional_term_row(gamma_plus: float, gamma_minus: float, s_plus: float, s_minus: float):
-    """Three-point weights (near, center, far) of one conservative term.
+def directional_term_row(gamma_plus, gamma_minus, s_plus, s_minus):
+    """Three-point weights (near, center, far) of conservative terms, elementwise.
 
     Aborts on a negative midpoint coefficient: a negative value here means
     the plan admitted an inadmissible direction and monotonicity is lost.
     """
-    if min(gamma_plus, gamma_minus) < GAMMA_TOLERANCE:
-        raise AssemblyError(
-            f"negative splitting coefficient at an arm midpoint: "
-            f"({gamma_plus}, {gamma_minus})"
-        )
+    low = np.minimum(gamma_plus, gamma_minus)
+    if np.any(low < GAMMA_TOLERANCE):
+        raise AssemblyError(f"negative splitting coefficient at an arm midpoint: {np.min(low):.3e}")
     total = s_plus + s_minus
     w_center = 2.0 * (gamma_plus / s_plus + gamma_minus / s_minus) / total
     w_plus = -2.0 * gamma_plus / (s_plus * total)
@@ -131,23 +129,29 @@ class _Accumulator:
         return SparseSystem(self.dim, matrix, self.rhs)
 
 
-def _axis_gammas(field: DiffusionField, xs, ys, tan1, tan2, which: str, strict: bool = True):
+def _evaluate(fn, xs, ys) -> np.ndarray:
+    """``fn`` at the points (xs, ys) as a float array, constants broadcast."""
+    return np.broadcast_to(np.asarray(fn(xs, ys), dtype=float), np.shape(xs)).ravel()
+
+
+def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
+    node = grid.node_from_linear(row)
+    return AssemblyError(f"{message} at node (j={node.j}, k={node.k})", node=(node.j, node.k))
+
+
+def _axis_gammas(field: DiffusionField, grid: Grid, xs, ys, tan1, tan2, which: str):
     """gamma0 (which='x') or gamma2 (which='y') at axis-edge midpoints.
 
     The plan guarantees a direction exists for each sign of b occurring at
-    the flux points; a missing one there is a plan inconsistency (strict
-    mode).  Points with b = 0 reduce to the plain entry, continuously.
+    the flux points; a missing one there is a plan inconsistency.  Points
+    with b = 0 reduce to the plain entry, continuously.
     """
     a, b, c = field.tensor_arrays(xs, ys)
-    plus = b > 0.0
-    minus = b < 0.0
-    if strict:
-        if np.any(plus & np.isnan(tan1)):
-            idx = int(np.argmax(plus & np.isnan(tan1)))
-            raise AssemblyError("b > 0 at an axis midpoint but the plan has no plus direction", node=idx)
-        if np.any(minus & np.isnan(tan2)):
-            idx = int(np.argmax(minus & np.isnan(tan2)))
-            raise AssemblyError("b < 0 at an axis midpoint but the plan has no minus direction", node=idx)
+    for part, tan, sign, side in ((b > 0.0, tan1, ">", "plus"), (b < 0.0, tan2, "<", "minus")):
+        missing = part & np.isnan(tan)
+        if missing.any():
+            raise _node_error(grid, int(np.argmax(missing)),
+                              f"b {sign} 0 at an axis midpoint but the plan has no {side} direction")
     bp = np.maximum(b, 0.0)
     bm = np.minimum(b, 0.0)
     # Placeholders are only reached where the matching part vanishes.
@@ -158,9 +162,9 @@ def _axis_gammas(field: DiffusionField, xs, ys, tan1, tan2, which: str, strict: 
     return c - bp * t1 - bm * t2
 
 
-def _diagonal_gamma(field: DiffusionField, xs, ys, slope: float, side: str):
-    """gamma1 coefficient along a chosen direction; zero off its sign part."""
-    _, b, _ = field.tensor_arrays(xs, ys)
+def _diagonal_gamma(field: DiffusionField, xs, ys, slope, side: str):
+    """gamma1 coefficient along the chosen directions; zero off their sign part."""
+    b = _evaluate(field.b, xs, ys)
     inv_cos_sin = 1.0 / slope + slope
     if side == "plus":
         return np.maximum(b, 0.0) * inv_cos_sin
@@ -175,11 +179,8 @@ def _check_nonnegative(values: np.ndarray, rows: np.ndarray, grid: Grid, label: 
     """
     worst = float(values.min())
     if worst < GAMMA_TOLERANCE:
-        node = grid.node_from_linear(int(rows[int(np.argmin(values))]))
-        raise AssemblyError(
-            f"negative {label} coefficient ({worst:.3e}) at node (j={node.j}, k={node.k})",
-            node=(node.j, node.k),
-        )
+        raise _node_error(grid, int(rows[int(np.argmin(values))]),
+                          f"negative {label} coefficient ({worst:.3e})")
 
 
 def assemble(problem: Problem, grid: Grid, plan: GridPlan) -> SparseSystem:
@@ -189,25 +190,21 @@ def assemble(problem: Problem, grid: Grid, plan: GridPlan) -> SparseSystem:
     ni = n - 1
     dim = ni * ni
     X, Y = grid.interior_coords()
+    J, K = grid.interior_nodes()
     lin = np.arange(dim, dtype=np.int64)
-    J = lin % ni + 1
-    K = lin // ni + 1
 
-    rhs = np.broadcast_to(np.asarray(problem.f(X, Y), dtype=float), (dim,)).copy()
+    rhs = _evaluate(problem.f, X, Y).copy()
     acc = _Accumulator(dim, rhs)
     field = problem.field
     g = problem.g
     half = 0.5 * h
     inv_h2 = 1.0 / (h * h)
 
-    def g_at(xs, ys):
-        return np.broadcast_to(np.asarray(g(xs, ys), dtype=float), np.shape(xs)).ravel()
-
     # Axis terms: gamma0 along x, gamma2 along y.  Arms are single mesh edges,
     # so endpoints are nodes and only the first/last ring folds into the rhs.
     for which, (ox, oy), neighbor_step in (("x", (1, 0), 1), ("y", (0, 1), ni)):
-        gm_lo = _axis_gammas(field, X - ox * half, Y - oy * half, plan.tan1, plan.tan2, which)
-        gm_hi = _axis_gammas(field, X + ox * half, Y + oy * half, plan.tan1, plan.tan2, which)
+        gm_lo = _axis_gammas(field, grid, X - ox * half, Y - oy * half, plan.tan1, plan.tan2, which)
+        gm_hi = _axis_gammas(field, grid, X + ox * half, Y + oy * half, plan.tan1, plan.tan2, which)
         _check_nonnegative(np.concatenate([gm_lo, gm_hi]), np.concatenate([lin, lin]), grid, f"gamma-{which}")
         acc.add(lin, lin, (gm_lo + gm_hi) * inv_h2)
         along = J if which == "x" else K
@@ -218,82 +215,41 @@ def assemble(problem: Problem, grid: Grid, plan: GridPlan) -> SparseSystem:
         lo_bnd = ~lo_interior
         hi_bnd = ~hi_interior
         acc.fold(lin[lo_bnd], -gm_lo[lo_bnd] * inv_h2,
-                 g_at(X[lo_bnd] - ox * h, Y[lo_bnd] - oy * h))
+                 _evaluate(g, X[lo_bnd] - ox * h, Y[lo_bnd] - oy * h))
         acc.fold(lin[hi_bnd], -gm_hi[hi_bnd] * inv_h2,
-                 g_at(X[hi_bnd] + ox * h, Y[hi_bnd] + oy * h))
+                 _evaluate(g, X[hi_bnd] + ox * h, Y[hi_bnd] + oy * h))
 
-    # Directional terms, grouped by (half-width, direction index).
+    # Directional terms: gamma1 along the planned direction of each sign part.
     for side, i_arr in (("plus", plan.i1), ("minus", plan.i2)):
-        active = i_arr != 0
-        if not active.any():
-            continue
-        pairs = np.unique(np.stack([plan.m[active], i_arr[active]]), axis=1)
-        for m_val, i_val in pairs.T:
-            table = principal_directions(int(m_val))
-            dx, dy = table.offsets[int(i_val)]
-            slope = dy / dx if dx != 0 else math.inf
-            group = lin[(plan.m == m_val) & (i_arr == i_val)]
-            _assemble_direction(acc, problem, grid, group, J[group], K[group],
-                                (dx, dy), slope, side)
+        rows = np.flatnonzero(i_arr)
+        if rows.size:
+            _assemble_direction(acc, problem, grid, rows, J[rows], K[rows], plan.m[rows], i_arr[rows], side)
 
     return acc.to_system()
 
 
-def _assemble_direction(acc, problem, grid, group, Jg, Kg, offset, slope, side):
+def _assemble_direction(acc, problem, grid, rows, j, k, m, i, side):
+    """Add the terms of one sign part at nodes ``rows`` = (j, k) planned with (m, i)."""
     n = grid.n
-    ni = n - 1
-    h = grid.h
-    dx, dy = offset
-    field = problem.field
-    g = problem.g
-    Xg = Jg / n
-    Yg = Kg / n
-
-    tj_hi, tk_hi = Jg + dx, Kg + dy
-    tj_lo, tk_lo = Jg - dx, Kg - dy
-    inside_hi = (tj_hi >= 0) & (tj_hi <= n) & (tk_hi >= 0) & (tk_hi <= n)
-    inside_lo = (tj_lo >= 0) & (tj_lo <= n) & (tk_lo >= 0) & (tk_lo <= n)
-    regular = inside_hi & inside_lo
-
-    # Equal-arm fast path for stencils entirely inside the closed square.
-    if regular.any():
-        rg = group[regular]
-        s = h * math.hypot(dx, dy)
-        inv_s2 = 1.0 / (s * s)
-        xm, ym = Xg[regular], Yg[regular]
-        gm_hi = _diagonal_gamma(field, xm + 0.5 * dx * h, ym + 0.5 * dy * h, slope, side)
-        gm_lo = _diagonal_gamma(field, xm - 0.5 * dx * h, ym - 0.5 * dy * h, slope, side)
-        _check_nonnegative(np.concatenate([gm_hi, gm_lo]), np.concatenate([rg, rg]), grid, f"gamma-{side}")
-        acc.add(rg, rg, (gm_hi + gm_lo) * inv_s2)
-        for gm, tj, tk in ((gm_hi, tj_hi[regular], tk_hi[regular]),
-                           (gm_lo, tj_lo[regular], tk_lo[regular])):
-            interior = (tj >= 1) & (tj <= ni) & (tk >= 1) & (tk <= ni)
-            cols = (tk[interior] - 1) * ni + (tj[interior] - 1)
-            acc.add(rg[interior], cols, -gm[interior] * inv_s2)
-            bnd = ~interior
-            if bnd.any():
-                gv = np.asarray(problem.g(tj[bnd] / n, tk[bnd] / n), dtype=float)
-                acc.fold(rg[bnd], -gm[bnd] * inv_s2, np.broadcast_to(gv, (int(bnd.sum()),)))
-
-    # Clipped arms: per node, unequal lengths.
-    for row, j, k in zip(group[~regular], Jg[~regular], Kg[~regular]):
-        x0, y0 = j / n, k / n
-        end_hi = clip_arm(grid, (int(j), int(k)), (dx, dy))
-        end_lo = clip_arm(grid, (int(j), int(k)), (-dx, -dy))
-        mids = [((x0 + e.point[0]) / 2.0, (y0 + e.point[1]) / 2.0) for e in (end_hi, end_lo)]
-        gm_hi = float(_diagonal_gamma(field, mids[0][0], mids[0][1], slope, side))
-        gm_lo = float(_diagonal_gamma(field, mids[1][0], mids[1][1], slope, side))
-        try:
-            w_lo, w_center, w_hi = directional_term_row(gm_hi, gm_lo, end_hi.distance, end_lo.distance)
-        except AssemblyError as exc:
-            raise AssemblyError(f"{exc} at node (j={j}, k={k})", node=(int(j), int(k))) from exc
-        acc.add([row], [row], [w_center])
-        for endpoint, w in ((end_hi, w_hi), (end_lo, w_lo)):
-            if endpoint.kind == "node" and not endpoint.on_boundary:
-                tj, tk = endpoint.node
-                acc.add([row], [(tk - 1) * ni + (tj - 1)], [w])
-            else:
-                acc.fold([row], [w], [float(g(endpoint.point[0], endpoint.point[1]))])
+    dx, dy = direction_offsets(m, i)
+    slope = dy / dx
+    x0, y0 = j / n, k / n
+    arms = []  # (gamma, length, column, endpoint x, endpoint y): far arm, then near arm
+    for sign in (1, -1):
+        ej, ek, length, col = clip_arms(grid, j, k, sign * dx, sign * dy)
+        x, y = ej / n, ek / n
+        gamma = _diagonal_gamma(problem.field, (x0 + x) / 2.0, (y0 + y) / 2.0, slope, side)
+        arms.append((gamma, length, col, x, y))
+    (gm_hi, s_hi, *_), (gm_lo, s_lo, *_) = arms
+    # Checked here to name the node; directional_term_row only knows values.
+    _check_nonnegative(np.concatenate([gm_hi, gm_lo]), np.concatenate([rows, rows]), grid, f"gamma-{side}")
+    w_lo, w_center, w_hi = directional_term_row(gm_hi, gm_lo, s_hi, s_lo)
+    acc.add(rows, rows, w_center)
+    for (_, _, col, x, y), w in zip(arms, (w_hi, w_lo)):
+        interior = col >= 0
+        acc.add(rows[interior], col[interior], w[interior])
+        bnd = ~interior
+        acc.fold(rows[bnd], w[bnd], _evaluate(problem.g, x[bnd], y[bnd]))
 
 
 def audit_m_matrix(system: SparseSystem) -> MatrixAudit:

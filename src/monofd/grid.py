@@ -65,11 +65,15 @@ class Grid:
         k, j = divmod(linear, self.n - 1)
         return NodeIndex(j + 1, k + 1, linear)
 
+    def interior_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column and row indices (j, k) of interior nodes in linear order."""
+        linear = np.arange(self.interior_count)
+        return linear % (self.n - 1) + 1, linear // (self.n - 1) + 1
+
     def interior_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Flattened x and y coordinates of interior nodes in linear order."""
-        side = np.arange(1, self.n) / self.n
-        X, Y = np.meshgrid(side, side)  # rows vary k, columns vary j
-        return X.ravel(), Y.ravel()
+        J, K = self.interior_nodes()
+        return J / self.n, K / self.n
 
 
 def build_grid(n: int) -> Grid:

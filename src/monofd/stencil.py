@@ -43,9 +43,11 @@ __all__ = [
     "GridPlan",
     "MeshCondition",
     "principal_directions",
+    "direction_offsets",
     "stencil_upper_bound",
     "select_stencil",
     "clip_arm",
+    "clip_arms",
     "plan_grid",
     "check_mesh_condition",
     "DEFAULT_SAFETY",
@@ -65,23 +67,26 @@ class PrincipalDirections:
     offsets: dict[int, tuple[int, int]]
 
 
+def direction_offsets(m, i):
+    """Lattice offsets (dx, dy) of direction indices ``i`` at half-widths ``m``.
+
+    Elementwise over arrays, by the three cases of the module docstring;
+    offsets are normalized to dx >= 0, which flips dy negative for i < -m.
+    """
+    m, i = np.asarray(m), np.asarray(i)
+    steep, falling = i > m, i < -m
+    dx = np.where(steep, 2 * m - i, np.where(falling, 2 * m + i, m))
+    dy = np.where(steep, m, np.where(falling, -m, i))
+    return dx, dy
+
+
 def principal_directions(m: int) -> PrincipalDirections:
     """All 4m distinct directions (mod pi) to the outer ring of the stencil."""
     if m < 1:
         raise PlanningError(f"stencil half-width must be >= 1, got {m}")
-    angles: dict[int, float] = {}
-    offsets: dict[int, tuple[int, int]] = {}
-    for i in range(-m, m + 1):
-        angles[i] = math.atan(i / m)
-        offsets[i] = (m, i)
-    for i in range(m + 1, 2 * m + 1):
-        dx = 2 * m - i
-        angles[i] = math.pi / 2 if dx == 0 else math.atan(m / dx)
-        offsets[i] = (dx, m)
-    for i in range(-2 * m + 1, -m):
-        # Offsets are normalized to dx > 0, which flips dy negative.
-        angles[i] = math.atan(m / (-2 * m - i))
-        offsets[i] = (2 * m + i, -m)
+    index = np.arange(-2 * m + 1, 2 * m + 1)
+    offsets = {int(i): (int(dx), int(dy)) for i, dx, dy in zip(index, *direction_offsets(m, index))}
+    angles = {i: math.pi / 2 if dx == 0 else math.atan(dy / dx) for i, (dx, dy) in offsets.items()}
     return PrincipalDirections(m, angles, offsets)
 
 
@@ -231,40 +236,48 @@ class ArmEndpoint:
     on_boundary: bool
 
 
+def clip_arms(grid: Grid, j, k, dx, dy):
+    """Endpoints of the arms from interior nodes (j, k) along lattice offsets (dx, dy).
+
+    Elementwise over integer arrays.  An arm whose target leaves the closed
+    square is shortened to the intersection of its ray with the boundary; an
+    intersection within 1e-9 of a lattice node (a corner, typically) is that
+    node.  Returns the endpoint in lattice units (ej, ek), the arm length, and
+    the endpoint's interior linear index, or -1 where the endpoint is a
+    boundary node or lies between nodes on the boundary.
+    """
+    n = grid.n
+    # The exit parameter along an axis the target does not leave is 1; its
+    # division, by zero for offsets along the other axis, is not used.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = np.where(j + dx < 0, -j / dx, np.where(j + dx > n, (n - j) / dx, 1.0))
+        ty = np.where(k + dy < 0, -k / dy, np.where(k + dy > n, (n - k) / dy, 1.0))
+    t = np.minimum(tx, ty)
+    cj, ck = j + t * dx, k + t * dy
+    rj, rk = np.round(cj), np.round(ck)
+    snap = (np.abs(cj - rj) < 1e-9) & (np.abs(ck - rk) < 1e-9)
+    ej, ek = np.where(snap, rj, cj), np.where(snap, rk, ck)
+    interior = snap & (ej >= 1) & (ej <= n - 1) & (ek >= 1) & (ek <= n - 1)
+    col = np.where(interior, (ek - 1) * (n - 1) + (ej - 1), -1).astype(np.int64)
+    # sqrt of the exact integer dx^2 + dy^2 is correctly rounded, as math.hypot is
+    return ej, ek, t * (grid.h * np.sqrt(dx * dx + dy * dy)), col
+
+
 def clip_arm(grid: Grid, node: tuple[int, int], offset: tuple[int, int]) -> ArmEndpoint:
     """Endpoint of the arm from an interior node along a lattice offset.
 
-    If the target lattice point leaves the closed square the arm is shortened
-    to the intersection of the ray with the boundary; an intersection landing
-    exactly on a lattice node (a corner, typically) is reported as that node.
+    One-node form of ``clip_arms``.
     """
-    j, k = node
-    dx, dy = offset
-    tj, tk = j + dx, k + dy
-    n = grid.n
-    full = grid.h * math.hypot(dx, dy)
-    if 0 <= tj <= n and 0 <= tk <= n:
-        return ArmEndpoint(
-            kind="node",
-            point=(tj / n, tk / n),
-            distance=full,
-            node=(tj, tk),
-            on_boundary=tj in (0, n) or tk in (0, n),
-        )
-    t = 1.0
-    if tj < 0:
-        t = min(t, (0 - j) / dx)
-    elif tj > n:
-        t = min(t, (n - j) / dx)
-    if tk < 0:
-        t = min(t, (0 - k) / dy)
-    elif tk > n:
-        t = min(t, (n - k) / dy)
-    cj, ck = j + t * dx, k + t * dy
-    rj, rk = round(cj), round(ck)
-    if abs(cj - rj) < 1e-9 and abs(ck - rk) < 1e-9:
-        return ArmEndpoint("node", (rj / n, rk / n), t * full, (int(rj), int(rk)), True)
-    return ArmEndpoint("boundary", (cj / n, ck / n), t * full, None, True)
+    arrays = (np.array([v]) for v in (*node, *offset))
+    ej, ek, length, col = (float(v[0]) for v in clip_arms(grid, *arrays))
+    lattice = ej.is_integer() and ek.is_integer()
+    return ArmEndpoint(
+        kind="node" if lattice else "boundary",
+        point=(ej / grid.n, ek / grid.n),
+        distance=length,
+        node=(int(ej), int(ek)) if lattice else None,
+        on_boundary=col < 0,
+    )
 
 
 @dataclass
@@ -297,20 +310,19 @@ class GridPlan:
         """One line per node: j k m i1 tan1 i2 tan2 clipped-arm-count."""
         stream.write("# j k m i1 tan_beta1 i2 tan_beta2 clipped_arms\n")
         grid = self.grid
-        tables = {int(m): principal_directions(int(m)).offsets for m in np.unique(self.m)}
-        for idx in range(grid.interior_count):
-            node = grid.node_from_linear(idx)
+        J, K = grid.interior_nodes()
+        clipped = np.zeros(J.size, dtype=np.int64)
+        for i in (self.i1, self.i2):
+            on = np.flatnonzero(i)
+            dx, dy = direction_offsets(self.m[on], i[on])
+            for sign in (1, -1):
+                ej, ek, _, _ = clip_arms(grid, J[on], K[on], sign * dx, sign * dy)
+                clipped[on] += (ej % 1 != 0) | (ek % 1 != 0)  # ends between boundary nodes
+        for idx in range(J.size):
             m, i1, i2 = int(self.m[idx]), int(self.i1[idx]), int(self.i2[idx])
-            offsets = tables[m]
-            clipped = 0
-            for i in (i1, i2):
-                if i:
-                    dx, dy = offsets[i]
-                    for off in ((dx, dy), (-dx, -dy)):
-                        clipped += clip_arm(grid, (node.j, node.k), off).kind == "boundary"
             t1 = repr(float(self.tan1[idx])) if i1 else "nan"
             t2 = repr(float(self.tan2[idx])) if i2 else "nan"
-            stream.write(f"{node.j} {node.k} {m} {i1} {t1} {i2} {t2} {clipped}\n")
+            stream.write(f"{J[idx]} {K[idx]} {m} {i1} {t1} {i2} {t2} {clipped[idx]}\n")
 
 
 class _SpecialPoints:

@@ -197,6 +197,25 @@ class TestExport:
         assert rhs == pytest.approx(system.rhs, abs=0.0)
 
 
+class TestPlanInconsistency:
+    def test_missing_direction_names_the_node(self, prep_exam1):
+        # tan1 = nan at a node whose four axis midpoints carry b > 0: the
+        # axis terms there have no plus slope, and the error names the node.
+        grid = build_grid(11)
+        field = prep_exam1.problem.field
+        plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
+        X, Y = grid.interior_coords()
+        half = 0.5 * grid.h
+        b = np.stack([field.tensor_arrays(X + ox, Y + oy)[1]
+                      for ox, oy in ((-half, 0), (half, 0), (0, -half), (0, half))])
+        idx = int(np.flatnonzero((b > 0.0).all(axis=0))[-1])
+        plan.tan1[idx] = np.nan
+        node = grid.node_from_linear(idx)
+        with pytest.raises(AssemblyError, match=rf"at node \(j={node.j}, k={node.k}\)") as info:
+            assemble(prep_exam1.problem, grid, plan)
+        assert info.value.node == (node.j, node.k)
+
+
 class TestBoundaryClipping:
     def test_clipped_arms_keep_monotone_structure(self, prep_exam4):
         # wide stencils near the boundary exercise the unequal-arm path
