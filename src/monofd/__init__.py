@@ -35,11 +35,9 @@ from .solver import SolveReport, residual, solve
 from .splitting import AngleIntervals, slope_bounds
 from .stencil import (
     GridPlan,
-    PrincipalDirections,
     check_mesh_condition,
     clip_arm,
     plan_grid,
-    principal_directions,
     select_stencil,
     stencil_upper_bound,
 )

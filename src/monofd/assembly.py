@@ -14,10 +14,12 @@ so the Z-pattern of the matrix follows directly from the plan.  Weights that
 reference boundary nodes or clipped boundary intersections multiply the
 Dirichlet data and move to the right-hand side.
 
-Interior nodes are numbered in row-major linear order.  The axis terms are
-one array pass per axis; the directional terms are one array pass per sign
-part of b over every node planned with a direction of that sign, its arms
-clipped at the boundary and weighted by the unequal-arm formula above.
+Interior nodes are numbered in row-major linear order.  Each of the four
+terms is one array pass of this three-point difference: x and y along the
+offsets (1, 0) and (0, 1) at every node, the b>0 and b<0 parts along the
+planned direction (m, i1) or (m, i2) where the node has one.  The terms
+differ only in where the midpoint coefficient comes from.  Non-finite field
+values surface as an undefined coefficient or in the audit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import AssemblyError
 from .field import DiffusionField
 from .grid import Grid
-from .splitting import GAMMA_TOLERANCE
+from .splitting import GAMMA_TOLERANCE, axis_coefficients
 from .stencil import GridPlan, clip_arms, direction_offsets
 
 
@@ -78,6 +80,7 @@ class MatrixAudit:
     min_dominance_slack: float
     zpattern_violations: int
     dominance_violations: int
+    nonfinite_values: int  # matrix entries and rhs values that are inf or nan
     n_components: int
     connected: bool
     passed: bool
@@ -86,11 +89,12 @@ class MatrixAudit:
 def directional_term_row(gamma_plus, gamma_minus, s_plus, s_minus):
     """Three-point weights (near, center, far) of conservative terms, elementwise.
 
-    Aborts on a negative midpoint coefficient: a negative value here means
-    the plan admitted an inadmissible direction and monotonicity is lost.
+    Aborts on a negative or undefined (nan) midpoint coefficient: such a
+    value here means the plan admitted an inadmissible direction and
+    monotonicity is lost.
     """
     low = np.minimum(gamma_plus, gamma_minus)
-    if np.any(low < GAMMA_TOLERANCE):
+    if not np.all(low >= GAMMA_TOLERANCE):
         raise AssemblyError(f"negative splitting coefficient at an arm midpoint: {np.min(low):.3e}")
     total = s_plus + s_minus
     w_center = 2.0 * (gamma_plus / s_plus + gamma_minus / s_minus) / total
@@ -139,110 +143,73 @@ def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
     return AssemblyError(f"{message} at node (j={node.j}, k={node.k})", node=(node.j, node.k))
 
 
-def _axis_gammas(field: DiffusionField, grid: Grid, xs, ys, tan1, tan2, which: str):
-    """gamma0 (which='x') or gamma2 (which='y') at axis-edge midpoints.
+def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
+    """gamma0 (which=0) or gamma2 (which=1) at one point per node, from its slopes.
 
-    The plan guarantees a direction exists for each sign of b occurring at
-    the flux points; a missing one there is a plan inconsistency.  Points
-    with b = 0 reduce to the plain entry, continuously.
+    nan where b has a sign for which the plan has no direction: a plan
+    inconsistency, which ``_check_nonnegative`` reports.
     """
-    a, b, c = field.tensor_arrays(xs, ys)
-    for part, tan, sign, side in ((b > 0.0, tan1, ">", "plus"), (b < 0.0, tan2, "<", "minus")):
-        missing = part & np.isnan(tan)
-        if missing.any():
-            raise _node_error(grid, int(np.argmax(missing)),
-                              f"b {sign} 0 at an axis midpoint but the plan has no {side} direction")
-    bp = np.maximum(b, 0.0)
-    bm = np.minimum(b, 0.0)
-    # Placeholders are only reached where the matching part vanishes.
-    t1 = np.where(np.isnan(tan1), np.where(np.isnan(tan2), 1.0, tan2), tan1)
-    t2 = np.where(np.isnan(tan2), np.where(np.isnan(tan1), -1.0, tan1), tan2)
-    if which == "x":
-        return a - bp / t1 - bm / t2
-    return c - bp * t1 - bm * t2
+    return lambda xs, ys: axis_coefficients(*field.tensor_arrays(xs, ys), tan1, tan2)[which]
 
 
-def _diagonal_gamma(field: DiffusionField, xs, ys, slope, side: str):
-    """gamma1 coefficient along the chosen directions; zero off their sign part."""
-    b = _evaluate(field.b, xs, ys)
-    inv_cos_sin = 1.0 / slope + slope
-    if side == "plus":
-        return np.maximum(b, 0.0) * inv_cos_sin
-    return np.minimum(b, 0.0) * inv_cos_sin
+def _diagonal_gamma(field: DiffusionField, slope, side: str):
+    """gamma1 along directions of the given slopes; zero off their sign part."""
+    part = np.maximum if side == "plus" else np.minimum
+    return lambda xs, ys: part(_evaluate(field.b, xs, ys), 0.0) * (1.0 / slope + slope)
 
 
 def _check_nonnegative(values: np.ndarray, rows: np.ndarray, grid: Grid, label: str):
-    """Abort on a negative coefficient, naming the owning node.
+    """Abort on a negative or undefined (nan) coefficient, naming the owning node.
 
     ``rows`` holds the linear row index of each value (values from several
     flux points of one row may be concatenated, with rows repeated to match).
     """
-    worst = float(values.min())
-    if worst < GAMMA_TOLERANCE:
-        raise _node_error(grid, int(rows[int(np.argmin(values))]),
-                          f"negative {label} coefficient ({worst:.3e})")
+    at = int(np.argmin(values))  # the first nan, if any
+    worst = float(values[at])
+    if not worst >= GAMMA_TOLERANCE:
+        raise _node_error(grid, int(rows[at]), f"negative or undefined {label} coefficient ({worst:.3e})")
 
 
 def assemble(problem: Problem, grid: Grid, plan: GridPlan) -> SparseSystem:
     """Assemble the interior-node system with Dirichlet data folded into the rhs."""
-    n = grid.n
-    h = grid.h
-    ni = n - 1
-    dim = ni * ni
-    X, Y = grid.interior_coords()
-    J, K = grid.interior_nodes()
-    lin = np.arange(dim, dtype=np.int64)
-
-    rhs = _evaluate(problem.f, X, Y).copy()
-    acc = _Accumulator(dim, rhs)
     field = problem.field
-    g = problem.g
-    half = 0.5 * h
-    inv_h2 = 1.0 / (h * h)
-
-    # Axis terms: gamma0 along x, gamma2 along y.  Arms are single mesh edges,
-    # so endpoints are nodes and only the first/last ring folds into the rhs.
-    for which, (ox, oy), neighbor_step in (("x", (1, 0), 1), ("y", (0, 1), ni)):
-        gm_lo = _axis_gammas(field, grid, X - ox * half, Y - oy * half, plan.tan1, plan.tan2, which)
-        gm_hi = _axis_gammas(field, grid, X + ox * half, Y + oy * half, plan.tan1, plan.tan2, which)
-        _check_nonnegative(np.concatenate([gm_lo, gm_hi]), np.concatenate([lin, lin]), grid, f"gamma-{which}")
-        acc.add(lin, lin, (gm_lo + gm_hi) * inv_h2)
-        along = J if which == "x" else K
-        lo_interior = along >= 2
-        hi_interior = along <= ni - 1
-        acc.add(lin[lo_interior], lin[lo_interior] - neighbor_step, -gm_lo[lo_interior] * inv_h2)
-        acc.add(lin[hi_interior], lin[hi_interior] + neighbor_step, -gm_hi[hi_interior] * inv_h2)
-        lo_bnd = ~lo_interior
-        hi_bnd = ~hi_interior
-        acc.fold(lin[lo_bnd], -gm_lo[lo_bnd] * inv_h2,
-                 _evaluate(g, X[lo_bnd] - ox * h, Y[lo_bnd] - oy * h))
-        acc.fold(lin[hi_bnd], -gm_hi[hi_bnd] * inv_h2,
-                 _evaluate(g, X[hi_bnd] + ox * h, Y[hi_bnd] + oy * h))
-
-    # Directional terms: gamma1 along the planned direction of each sign part.
-    for side, i_arr in (("plus", plan.i1), ("minus", plan.i2)):
-        rows = np.flatnonzero(i_arr)
-        if rows.size:
-            _assemble_direction(acc, problem, grid, rows, J[rows], K[rows], plan.m[rows], i_arr[rows], side)
-
+    J, K = grid.interior_nodes()
+    every = np.arange(grid.interior_count)
+    tan1, tan2 = plan.tan1, plan.tan2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        acc = _Accumulator(every.size, _evaluate(problem.f, J / grid.n, K / grid.n).copy())
+        # gamma0 along x and gamma2 along y at every node
+        for which, (label, dx, dy) in enumerate((("gamma-x", 1, 0), ("gamma-y", 0, 1))):
+            _assemble_direction(acc, problem, grid, every, J, K, dx, dy,
+                                _axis_gamma(field, tan1, tan2, which), label)
+        # gamma1 along the planned direction of each sign part
+        for side, i_arr, tan in (("plus", plan.i1, tan1), ("minus", plan.i2, tan2)):
+            rows = np.flatnonzero(i_arr)
+            if rows.size:
+                dx, dy = direction_offsets(plan.m[rows], i_arr[rows])
+                _assemble_direction(acc, problem, grid, rows, J[rows], K[rows], dx, dy,
+                                    _diagonal_gamma(field, tan[rows], side), f"gamma-{side}")
     return acc.to_system()
 
 
-def _assemble_direction(acc, problem, grid, rows, j, k, m, i, side):
-    """Add the terms of one sign part at nodes ``rows`` = (j, k) planned with (m, i)."""
+def _assemble_direction(acc, problem, grid, rows, j, k, dx, dy, gamma, label):
+    """Add one term at nodes ``rows`` = (j, k) along lattice offsets (dx, dy).
+
+    ``gamma(x, y)`` gives the term's coefficient at one point per node; it
+    is taken at the two arm midpoints.
+    """
     n = grid.n
-    dx, dy = direction_offsets(m, i)
-    slope = dy / dx
     x0, y0 = j / n, k / n
+    half = 0.5 * grid.h
     arms = []  # (gamma, length, column, endpoint x, endpoint y): far arm, then near arm
     for sign in (1, -1):
         ej, ek, length, col = clip_arms(grid, j, k, sign * dx, sign * dy)
-        x, y = ej / n, ek / n
-        gamma = _diagonal_gamma(problem.field, (x0 + x) / 2.0, (y0 + y) / 2.0, slope, side)
-        arms.append((gamma, length, col, x, y))
+        # x0 + h/2 exactly on the axis arms, the points the planner checked
+        mid = gamma(x0 + half * (ej - j), y0 + half * (ek - k))
+        arms.append((mid, length, col, ej / n, ek / n))
     (gm_hi, s_hi, *_), (gm_lo, s_lo, *_) = arms
     # Checked here to name the node; directional_term_row only knows values.
-    _check_nonnegative(np.concatenate([gm_hi, gm_lo]), np.concatenate([rows, rows]), grid, f"gamma-{side}")
+    _check_nonnegative(np.concatenate([gm_hi, gm_lo]), np.concatenate([rows, rows]), grid, label)
     w_lo, w_center, w_hi = directional_term_row(gm_hi, gm_lo, s_hi, s_lo)
     acc.add(rows, rows, w_center)
     for (_, _, col, x, y), w in zip(arms, (w_hi, w_lo)):
@@ -253,7 +220,11 @@ def _assemble_direction(acc, problem, grid, rows, j, k, m, i, side):
 
 
 def audit_m_matrix(system: SparseSystem) -> MatrixAudit:
-    """Z-pattern, positive diagonal, weak dominance, and irreducibility checks.
+    """Finite values, Z-pattern, positive diagonal, weak dominance, and
+    irreducibility checks.
+
+    A matrix entry or rhs value that is inf or nan fails the audit: the
+    sign and dominance comparisons are false on nan and certify nothing.
 
     Dominance slack is diag - sum|offdiag| per row; rows may be exactly
     balanced (interior) and must be strictly dominant where the stencil
@@ -266,8 +237,10 @@ def audit_m_matrix(system: SparseSystem) -> MatrixAudit:
     max_off = float(off_vals.max()) if off_vals.size else 0.0
     abs_off_sum = np.zeros(system.dimension)
     np.add.at(abs_off_sum, matrix.row[off], np.abs(off_vals))
-    slack = diag - abs_off_sum
+    with np.errstate(invalid="ignore"):  # inf - inf; counted below
+        slack = diag - abs_off_sum
     scale = np.maximum(np.abs(diag), 1.0)
+    nonfinite_values = int((~np.isfinite(matrix.data)).sum()) + int((~np.isfinite(system.rhs)).sum())
     zpattern_violations = int((off_vals > 1e-12).sum()) + int((diag <= 0.0).sum())
     dominance_violations = int((slack < -1e-9 * scale).sum())
     pattern = sp.coo_matrix(
@@ -276,13 +249,14 @@ def audit_m_matrix(system: SparseSystem) -> MatrixAudit:
     )
     n_components = int(connected_components(pattern, directed=False)[0]) if system.dimension > 1 else 1
     connected = n_components == 1
-    passed = zpattern_violations == 0 and dominance_violations == 0 and connected
+    passed = zpattern_violations == 0 and dominance_violations == 0 and nonfinite_values == 0 and connected
     return MatrixAudit(
         max_offdiag=max_off,
         min_diag=float(diag.min()),
         min_dominance_slack=float(slack.min()),
         zpattern_violations=zpattern_violations,
         dominance_violations=dominance_violations,
+        nonfinite_values=nonfinite_values,
         n_components=n_components,
         connected=connected,
         passed=passed,

@@ -7,8 +7,9 @@ the resolved configuration, the field constants, plan summaries, and library
 versions.
 
 Exit codes: 0 success, 2 config error (a tensor field that is not finite and
-positive definite included), 3 planning failure, 4 audit failure, 5 solver
-non-convergence.
+positive definite included), 3 planning failure, 4 audit failure (an
+assembly error, a negative or undefined coefficient at some node, included),
+5 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import scipy
 from . import __version__
 from .assembly import Problem, assemble, export_matrix, export_rhs
 from .errors import (
+    AssemblyError,
     AuditError,
     ConfigError,
     FieldValidationError,
@@ -435,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except PlanningError as exc:
         print(f"planning failure: {exc}", file=sys.stderr)
         return EXIT_PLANNING
+    except AssemblyError as exc:
+        print(f"assembly failure: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
     except AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FieldValidationError
 from .expressions import Expression, const, cos, parse_expression, sin, var
-from .splitting import SLOPE_REDUCTIONS, masked_ratios
+from .splitting import SLOPE_REDUCTIONS, masked_ratios, slope_ratios
 
 __all__ = [
     "DiffusionField",
@@ -108,8 +108,7 @@ class ProbeTable:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.a, self.b, self.c = field.tensor_arrays(X, Y)
             self.det = self.a * self.c - self.b**2
-            self.ratio_g = self.b / self.a
-            self.ratio_f = np.where(self.b != 0.0, self.c / self.b, np.nan)
+        self.ratio_g, self.ratio_f = slope_ratios(self.a, self.b, self.c)
 
     def window_intervals(self, x0: float, y0: float, radius: float):
         """Raw (A, B, C, D) over lattice points strictly inside the ball.

@@ -22,9 +22,11 @@ from .errors import PlanError
 __all__ = [
     "AngleIntervals",
     "slope_bounds",
+    "slope_ratios",
     "masked_ratios",
     "SLOPE_REDUCTIONS",
     "split_values",
+    "axis_coefficients",
     "GAMMA_TOLERANCE",
 ]
 
@@ -64,6 +66,15 @@ SLOPE_REDUCTIONS = (
 )
 
 
+def slope_ratios(a, b, c):
+    """The ratios g = b/a and f = c/b of the slope bounds, f nan where b = 0.
+
+    Non-finite ratios of a non-finite field are left to the callers' checks.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return b / a, np.where(b != 0.0, c / b, np.nan)
+
+
 def masked_ratios(g, f, plus, minus):
     """g and f with the samples outside each bound's sign part set to its
     empty-part value: (g on plus, f on plus, f on minus, g on minus)."""
@@ -89,6 +100,19 @@ def slope_bounds(g, f, plus, minus, axis=None):
 def _inv_cos_sin(tan_beta: float):
     """1/(cos(beta)*sin(beta)) written to avoid overflow for extreme slopes."""
     return 1.0 / tan_beta + tan_beta
+
+
+def axis_coefficients(a, b, c, tan1, tan2):
+    """Coefficients (g0, g2) of the x and y terms at points with entries (a, b, c).
+
+    Elementwise: ``tan1`` serves the points with b > 0 and ``tan2`` those with
+    b < 0; points with b = 0 give plain a and c.  A point whose sign of b has
+    no slope (nan) gets nan; non-finite entries carry through.
+    """
+    tan = np.where(b > 0.0, tan1, tan2)
+    zero = b == 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(zero, a, a - b / tan), np.where(zero, c, c - b * tan)
 
 
 def split_values(a: float, b: float, c: float, tan1: float | None, tan2: float | None):

@@ -8,11 +8,15 @@ the outer ring of the (2m+1) x (2m+1) stencil, indexed by i in
     m < i <= 2m     slope m/(2m-i)   offset (2m-i, m)      (i = 2m vertical)
     -2m < i < -m    slope m/(-2m-i)  offset (2m+i, -m)
 
+A plan stores only (m, i1, i2) per node, index 0 for an empty sign part;
+its slopes are the dy/dx of the offsets (``direction_slopes``).
+
 The planner picks, per interior node, the smallest m whose direction table
 contains slopes strictly inside the node's admissible intervals.  Intervals
 are sampled over the ball of the field-wide planning radius around the node.
 The chosen slopes are then checked at the node's four axis-edge midpoints,
-where assembly evaluates the x- and y-term coefficients; a node that fails
+where assembly evaluates the x- and y-term coefficients (both sides use
+``splitting.axis_coefficients``); a node that fails
 is replanned over the ball augmented with its center and those midpoints,
 so the assembled sign structure follows from strict interval placement
 rather than from a mesh-size assumption.
@@ -34,16 +38,15 @@ import numpy as np
 from .errors import PlanningError
 from .field import DiffusionField, ProbeTable, SplittingConstants
 from .grid import Grid
-from .splitting import SLOPE_REDUCTIONS, AngleIntervals, slope_bounds
+from .splitting import SLOPE_REDUCTIONS, AngleIntervals, axis_coefficients, slope_bounds, slope_ratios
 
 __all__ = [
-    "PrincipalDirections",
     "StencilChoice",
     "ArmEndpoint",
     "GridPlan",
     "MeshCondition",
-    "principal_directions",
     "direction_offsets",
+    "direction_slopes",
     "stencil_upper_bound",
     "select_stencil",
     "clip_arm",
@@ -56,15 +59,6 @@ __all__ = [
 # Fraction of the admissible interval kept clear on each side; guards the
 # chosen slope against sampling error without distorting wide intervals.
 DEFAULT_SAFETY = 0.05
-
-
-@dataclass(frozen=True)
-class PrincipalDirections:
-    """Direction table for half-width m: index -> angle and lattice offset."""
-
-    m: int
-    angles: dict[int, float]
-    offsets: dict[int, tuple[int, int]]
 
 
 def direction_offsets(m, i):
@@ -80,14 +74,14 @@ def direction_offsets(m, i):
     return dx, dy
 
 
-def principal_directions(m: int) -> PrincipalDirections:
-    """All 4m distinct directions (mod pi) to the outer ring of the stencil."""
-    if m < 1:
-        raise PlanningError(f"stencil half-width must be >= 1, got {m}")
-    index = np.arange(-2 * m + 1, 2 * m + 1)
-    offsets = {int(i): (int(dx), int(dy)) for i, dx, dy in zip(index, *direction_offsets(m, index))}
-    angles = {i: math.pi / 2 if dx == 0 else math.atan(dy / dx) for i, (dx, dy) in offsets.items()}
-    return PrincipalDirections(m, angles, offsets)
+def direction_slopes(m, i):
+    """Slopes dy/dx of direction indices ``i`` at half-widths ``m``; nan where i = 0.
+
+    Elementwise over arrays; index 0 stands for no direction, as in a plan.
+    """
+    dx, dy = direction_offsets(m, i)
+    with np.errstate(divide="ignore", invalid="ignore"):  # i = 2m is vertical
+        return np.where(np.asarray(i) != 0, dy / dx, np.nan)
 
 
 def stencil_upper_bound(constants: SplittingConstants) -> int:
@@ -133,30 +127,28 @@ def _shrunk(lo, hi, safety: float):
 
 
 def _direction(m: int, lo, hi):
-    """Direction index (0 for none) and slope for tan(beta1) in (lo, hi).
+    """Direction index (0 for none) whose slope lies in (lo, hi), for tan(beta1).
 
     The b<0 part's tan(beta2) in (lo, hi) is the mirror image: negate the
-    result for (-hi, -lo).
+    index for (-hi, -lo).
     """
     flat = _pick_integer(m * lo, m * hi, lo_clamp=1)
     # 1 <= lo < hi: slopes m/q with q counted from the vertical
     q = _pick_integer(m / hi, m / lo, lo_clamp=1, hi_clamp=m - 1)
     cases = [~(lo < hi), (lo < 1.0) & (1.0 < hi), hi <= 1.0]
-    i = np.select(cases, [0, m, flat], np.where(q != 0, 2 * m - q, 0))
-    return i, np.select(cases[1:], [1.0, flat / m], m / q)
+    return np.select(cases, [0, m, flat], np.where(q != 0, 2 * m - q, 0))
 
 
 def _select(bounds, m_cap: int, safety: float, fixed_m: int | None):
     """``select_stencil`` for arrays of bounds (A, B, C, D).
 
-    Returns int32 arrays m, i1, i2 and float arrays tan1, tan2, with m = 0
-    where no half-width up to the cap fits, index 0 and slope nan where a
-    sign part is empty.  Each pass over m handles only the nodes still open.
+    Returns int32 arrays m, i1, i2, with m = 0 where no half-width up to the
+    cap fits and index 0 where a sign part is empty.  Each pass over m
+    handles only the nodes still open.
     """
     a_sup, b_inf, c_sup, d_inf = bounds
     n = a_sup.size
     m_out, i1, i2 = (np.zeros(n, dtype=np.int32) for _ in range(3))
-    tan1, tan2 = np.full(n, np.nan), np.full(n, np.nan)
     need_plus, need_minus = a_sup != -np.inf, d_inf != np.inf
     m_values = [fixed_m] if fixed_m is not None else range(1, m_cap + 1)
     todo = np.arange(n)
@@ -168,22 +160,18 @@ def _select(bounds, m_cap: int, safety: float, fixed_m: int | None):
             for m in m_values:
                 if todo.size == 0:
                     break
-                p_i, p_tan = _direction(m, plus_lo, plus_hi)
-                n_i, n_tan = (-v for v in _direction(m, mirror_lo, mirror_hi))
+                p_i = _direction(m, plus_lo, plus_hi)
+                n_i = -_direction(m, mirror_lo, mirror_hi)
                 has_plus, has_minus = need_plus[todo], need_minus[todo]
                 done = ((p_i != 0) | ~has_plus) & ((n_i != 0) | ~has_minus)
                 m_out[todo[done]] = m
-                for ok, idx_out, tan_out, idx, tan in (
-                    (done & has_plus, i1, tan1, p_i, p_tan),
-                    (done & has_minus, i2, tan2, n_i, n_tan),
-                ):
-                    idx_out[todo[ok]] = idx[ok]
-                    tan_out[todo[ok]] = tan[ok]
+                for ok, out, idx in ((done & has_plus, i1, p_i), (done & has_minus, i2, n_i)):
+                    out[todo[ok]] = idx[ok]
                 keep = ~done
                 todo = todo[keep]
                 plus_lo, plus_hi = plus_lo[keep], plus_hi[keep]
                 mirror_lo, mirror_hi = mirror_lo[keep], mirror_hi[keep]
-    return m_out, i1, i2, tan1, tan2
+    return m_out, i1, i2
 
 
 def _no_stencil(intervals: AngleIntervals, m_cap: int) -> PlanningError:
@@ -208,16 +196,11 @@ def select_stencil(
     """
     bounds = tuple(np.array([v], dtype=float) for v in
                    (intervals.a_sup, intervals.b_inf, intervals.c_sup, intervals.d_inf))
-    m, i1, i2, tan1, tan2 = (v[0] for v in _select(bounds, m_cap, safety, fixed_m))
+    m, i1, i2 = (v[0] for v in _select(bounds, m_cap, safety, fixed_m))
     if m == 0:
         raise _no_stencil(intervals, m_cap)
-    return StencilChoice(
-        int(m),
-        int(i1) if i1 else None,
-        int(i2) if i2 else None,
-        float(tan1) if i1 else None,
-        float(tan2) if i2 else None,
-    )
+    tan1, tan2 = (float(direction_slopes(m, i)) if i else None for i in (i1, i2))
+    return StencilChoice(int(m), int(i1) if i1 else None, int(i2) if i2 else None, tan1, tan2)
 
 
 @dataclass(frozen=True)
@@ -247,20 +230,30 @@ def clip_arms(grid: Grid, j, k, dx, dy):
     boundary node or lies between nodes on the boundary.
     """
     n = grid.n
-    # The exit parameter along an axis the target does not leave is 1; its
-    # division, by zero for offsets along the other axis, is not used.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx = np.where(j + dx < 0, -j / dx, np.where(j + dx > n, (n - j) / dx, 1.0))
-        ty = np.where(k + dy < 0, -k / dy, np.where(k + dy > n, (n - k) / dy, 1.0))
-    t = np.minimum(tx, ty)
-    cj, ck = j + t * dx, k + t * dy
-    rj, rk = np.round(cj), np.round(ck)
-    snap = (np.abs(cj - rj) < 1e-9) & (np.abs(ck - rk) < 1e-9)
-    ej, ek = np.where(snap, rj, cj), np.where(snap, rk, ck)
-    interior = snap & (ej >= 1) & (ej <= n - 1) & (ek >= 1) & (ek <= n - 1)
-    col = np.where(interior, (ek - 1) * (n - 1) + (ej - 1), -1).astype(np.int64)
+    j, k, dx, dy = np.broadcast_arrays(j, k, dx, dy)
+    tj, tk = j + dx, k + dy
+    ej, ek = tj.astype(float), tk.astype(float)
     # sqrt of the exact integer dx^2 + dy^2 is correctly rounded, as math.hypot is
-    return ej, ek, t * (grid.h * np.sqrt(dx * dx + dy * dy)), col
+    length = grid.h * np.sqrt(dx * dx + dy * dy)
+    leaves = (tj < 0) | (tj > n) | (tk < 0) | (tk > n)
+    out = np.flatnonzero(leaves)
+    if out.size:
+        oj, ok, odx, ody, otj, otk = (v[out] for v in (j, k, dx, dy, tj, tk))
+        # The exit parameter along an axis the target does not leave is 1; its
+        # division, by zero for offsets along the other axis, is not used.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tx = np.where(otj < 0, -oj / odx, np.where(otj > n, (n - oj) / odx, 1.0))
+            ty = np.where(otk < 0, -ok / ody, np.where(otk > n, (n - ok) / ody, 1.0))
+        t = np.minimum(tx, ty)
+        cj, ck = oj + t * odx, ok + t * ody
+        rj, rk = np.round(cj), np.round(ck)
+        snap = (np.abs(cj - rj) < 1e-9) & (np.abs(ck - rk) < 1e-9)
+        ej[out], ek[out] = np.where(snap, rj, cj), np.where(snap, rk, ck)
+        length[out] *= t
+    # A clipped endpoint lies on the boundary, so only unclipped arms can end inside.
+    interior = ~leaves & (tj >= 1) & (tj <= n - 1) & (tk >= 1) & (tk <= n - 1)
+    col = np.where(interior, (tk - 1) * (n - 1) + (tj - 1), -1).astype(np.int64)
+    return ej, ek, length, col
 
 
 def clip_arm(grid: Grid, node: tuple[int, int], offset: tuple[int, int]) -> ArmEndpoint:
@@ -289,14 +282,22 @@ class GridPlan:
     m: np.ndarray
     i1: np.ndarray  # 0 means no plus direction
     i2: np.ndarray  # 0 means no minus direction
-    tan1: np.ndarray  # nan where unused
-    tan2: np.ndarray
     a_sup: np.ndarray
     b_inf: np.ndarray
     c_sup: np.ndarray
     d_inf: np.ndarray
     fallback_nodes: int = 0  # nodes replanned over the midpoint-augmented intervals
     empty_balls: int = 0  # nodes whose planning ball held no probe sample
+
+    @property
+    def tan1(self) -> np.ndarray:
+        """Slope of each node's plus direction; nan where it has none."""
+        return direction_slopes(self.m, self.i1)
+
+    @property
+    def tan2(self) -> np.ndarray:
+        """Slope of each node's minus direction; nan where it has none."""
+        return direction_slopes(self.m, self.i2)
 
     @property
     def max_m(self) -> int:
@@ -318,10 +319,10 @@ class GridPlan:
             for sign in (1, -1):
                 ej, ek, _, _ = clip_arms(grid, J[on], K[on], sign * dx, sign * dy)
                 clipped[on] += (ej % 1 != 0) | (ek % 1 != 0)  # ends between boundary nodes
+        tan1, tan2 = self.tan1, self.tan2
         for idx in range(J.size):
             m, i1, i2 = int(self.m[idx]), int(self.i1[idx]), int(self.i2[idx])
-            t1 = repr(float(self.tan1[idx])) if i1 else "nan"
-            t2 = repr(float(self.tan2[idx])) if i2 else "nan"
+            t1, t2 = repr(float(tan1[idx])), repr(float(tan2[idx]))
             stream.write(f"{J[idx]} {K[idx]} {m} {i1} {t1} {i2} {t2} {clipped[idx]}\n")
 
 
@@ -338,24 +339,24 @@ class _SpecialPoints:
         half = 0.5 * grid.h
         pts_x = np.stack([X, X - half, X + half, X, X])
         pts_y = np.stack([Y, Y, Y, Y - half, Y + half])
-        self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = self.b / self.a
-            f = np.where(self.b != 0.0, self.c / self.b, np.nan)
+        # Non-finite field values here are left to the checks below and to assembly.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
+        g, f = slope_ratios(self.a, self.b, self.c)
         self.bounds = slope_bounds(g, f, self.b > 0.0, self.b < 0.0, axis=0)
 
-    def choice_is_safe(self, idx: np.ndarray, tan1: np.ndarray, tan2: np.ndarray) -> np.ndarray:
-        """Per node of ``idx``: gamma0/gamma2 stay nonnegative at the 4 edge midpoints.
+    def choice_is_safe(self, idx: np.ndarray, m: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+        """Per node of ``idx`` planned with (m, i1, i2): gamma0/gamma2 are
+        nonnegative at the 4 edge midpoints.
 
-        Midpoints carrying a sign of b for which the choice has no direction
-        (slope nan) are unsafe by definition (assembly could not evaluate them).
+        A midpoint carrying a sign of b for which the choice has no direction
+        has an undefined (nan) coefficient, and is unsafe like a negative one.
         """
         a, b, c = self.a[1:, idx], self.b[1:, idx], self.c[1:, idx]
-        tan = np.where(b > 0.0, tan1, tan2)
-        gamma = np.concatenate([a[:2] - b[:2] / tan[:2],  # x-edge midpoints carry gamma0
-                                c[2:] - b[2:] * tan[2:]])  # y-edge midpoints carry gamma2
-        unsafe = (b != 0.0) & (np.isnan(tan) | (gamma < 0.0))
-        return ~unsafe.any(axis=0)
+        gamma0, gamma2 = axis_coefficients(a, b, c, direction_slopes(m, i1), direction_slopes(m, i2))
+        # x-edge midpoints carry gamma0, y-edge midpoints gamma2
+        gamma = np.concatenate([gamma0[:2], gamma2[2:]])
+        return (gamma >= 0.0).all(axis=0)
 
 
 def plan_grid(
@@ -383,9 +384,9 @@ def plan_grid(
     X, Y = grid.interior_coords()
     specials = _SpecialPoints(field, grid)
     bounds, empty = table.ball_bounds(X, Y, constants.radius)
-    m, i1, i2, tan1, tan2 = _select(bounds, m_cap, safety, fixed_m)
+    m, i1, i2 = _select(bounds, m_cap, safety, fixed_m)
     every = np.arange(X.size)
-    fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, tan1, tan2))
+    fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, m, i1, i2))
 
     # The midpoints are exact members of the merged sample set, so strict
     # placement alone protects them; no margin here keeps the fallback
@@ -396,7 +397,7 @@ def plan_grid(
     )
     replan = _select(merged, m_cap, 0.0, fixed_m)
     failed = replan[0] == 0
-    unsafe = ~failed & ~specials.choice_is_safe(fallback, replan[3], replan[4])
+    unsafe = ~failed & ~specials.choice_is_safe(fallback, *replan)
     bad = failed | unsafe
     if bad.any():
         first = int(np.argmax(bad))
@@ -408,7 +409,7 @@ def plan_grid(
         else:
             message = f"no sign-safe direction pair at node (j={node.j}, k={node.k})"
         raise PlanningError(message, node=(node.j, node.k), intervals=intervals)
-    for out, values in zip((m, i1, i2, tan1, tan2), replan):
+    for out, values in zip((m, i1, i2), replan):
         out[fallback] = values
     for ball, values in zip(bounds, merged):
         ball[fallback] = values
@@ -419,8 +420,6 @@ def plan_grid(
         m=m,
         i1=i1,
         i2=i2,
-        tan1=tan1,
-        tan2=tan2,
         a_sup=bounds[0],
         b_inf=bounds[1],
         c_sup=bounds[2],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -51,6 +53,8 @@ class TestDirectionalTermRow:
     def test_negative_coefficient_aborts(self):
         with pytest.raises(AssemblyError):
             directional_term_row(-0.1, 1.0, 0.1, 0.1)
+        with pytest.raises(AssemblyError):  # nan compares false: undefined counts as negative
+            directional_term_row(1.0, np.nan, 0.1, 0.1)
 
     def test_equal_arm_reduction_identity(self):
         # unequal-arm formula with equal arms reproduces [-g-, g+ + g-, -g+]/s^2
@@ -163,6 +167,18 @@ class TestAudit:
         assert audit.zpattern_violations == 1
         assert audit.max_offdiag == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("rows, rhs", [
+        ([[2.0, np.nan], [-1.0, 2.0]], [0.0, 0.0]),
+        ([[np.inf, -1.0], [-1.0, 2.0]], [0.0, 0.0]),
+        ([[2.0, -1.0], [-1.0, 2.0]], [np.nan, 0.0]),
+    ])
+    def test_non_finite_values_fail(self, rows, rhs):
+        # nan compares false, so the sign and dominance counts alone pass these
+        audit = audit_m_matrix(SparseSystem(2, sp.csr_matrix(np.array(rows)), np.array(rhs)))
+        assert (audit.zpattern_violations, audit.dominance_violations) == (0, 0)
+        assert audit.nonfinite_values == 1
+        assert not audit.passed
+
     def test_disconnected_graph_detected(self):
         matrix = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
         audit = audit_m_matrix(SparseSystem(3, matrix, np.zeros(3)))
@@ -199,8 +215,8 @@ class TestExport:
 
 class TestPlanInconsistency:
     def test_missing_direction_names_the_node(self, prep_exam1):
-        # tan1 = nan at a node whose four axis midpoints carry b > 0: the
-        # axis terms there have no plus slope, and the error names the node.
+        # No plus direction at a node whose four axis midpoints carry b > 0:
+        # the axis terms there have no plus slope, and the error names the node.
         grid = build_grid(11)
         field = prep_exam1.problem.field
         plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
@@ -209,11 +225,32 @@ class TestPlanInconsistency:
         b = np.stack([field.tensor_arrays(X + ox, Y + oy)[1]
                       for ox, oy in ((-half, 0), (half, 0), (0, -half), (0, half))])
         idx = int(np.flatnonzero((b > 0.0).all(axis=0))[-1])
-        plan.tan1[idx] = np.nan
+        plan.i1[idx] = 0
         node = grid.node_from_linear(idx)
         with pytest.raises(AssemblyError, match=rf"at node \(j={node.j}, k={node.k}\)") as info:
             assemble(prep_exam1.problem, grid, plan)
         assert info.value.node == (node.j, node.k)
+
+
+class TestAxisMidpoints:
+    def test_axis_terms_read_the_planners_sample_points(self, prep_exam1):
+        # The planner's sign check samples the tensor at X +- h/2 and Y +- h/2;
+        # the x and y terms, the only ones that read a, must use the same points.
+        grid = build_grid(11)
+        field = prep_exam1.problem.field
+        plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
+        seen = set()
+
+        def recording_a(x, y):
+            seen.update(zip(np.ravel(x), np.ravel(y)))
+            return field.a(x, y)
+
+        problem = dataclasses.replace(prep_exam1.problem, field=dataclasses.replace(field, a=recording_a))
+        assemble(problem, grid, plan)
+        X, Y = grid.interior_coords()
+        half = 0.5 * grid.h
+        sampled = ((X - half, Y), (X + half, Y), (X, Y - half), (X, Y + half))
+        assert seen == {point for xs, ys in sampled for point in zip(xs, ys)}
 
 
 class TestBoundaryClipping:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from monofd.errors import PlanningError
 from monofd.grid import build_grid
 from monofd.splitting import AngleIntervals
-from monofd.stencil import StencilChoice, _pick_integer, plan_grid, select_stencil
+from monofd.stencil import StencilChoice, _pick_integer, direction_slopes, plan_grid, select_stencil
 
 PINNED = json.loads((Path(__file__).parent / "plan_digests.json").read_text())
 PREPARED = {"exam1": "prep_exam1", "exam3": "prep_exam3", "exam4-k10": "prep_exam4",
@@ -136,6 +136,25 @@ def select_reference(iv, m_cap, safety, fixed_m):
             i2, tan2 = minus if minus is not None else (None, None)
             return StencilChoice(m, i1, i2, tan1, tan2)
     return None
+
+
+def slope_reference(m, i):
+    """The slope the array selection stored beside index i before plans held
+    only indices: 1.0, flat/m or m/q for the plus part, negated for the minus part."""
+    p = abs(i)
+    slope = 1.0 if p == m else p / m if p < m else m / (2 * m - p)
+    return slope if i > 0 else -slope
+
+
+def test_derived_slopes_match_stored_slopes():
+    # The selection picks 1..2m-1 for the plus part and their negatives for
+    # the minus part; the pinned digests reach only small half-widths.
+    for m in range(1, 101):
+        picks = [sign * p for p in range(1, 2 * m) for sign in (1, -1)]
+        expected = np.array([slope_reference(m, i) for i in picks])
+        got = direction_slopes(np.full(len(picks) + 1, m), np.array(picks + [0]))
+        assert got[:-1].tobytes() == expected.tobytes(), m
+        assert np.isnan(got[-1])
 
 
 # Quarter-integers put many midpoints exactly on a half-integer (a tie).

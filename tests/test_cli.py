@@ -8,7 +8,7 @@ import pytest
 
 import monofd
 
-from monofd.cli import EXIT_CONFIG, EXIT_OK, main
+from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, main
 
 
 def run_cli(*argv):
@@ -49,6 +49,26 @@ class TestConfigHandling:
         )
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "not finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("a, b, c", [
+        # a is inf at the edge midpoint x = 1/6 of N = 3: the audit finds it
+        ("2 + 1/(6*x - 1)**2", "0", "1"),
+        # b is nan at the arm midpoint (1/6, 1/6): assembly names node (1, 1)
+        ("2", "0.5*sin(1/((6*x - 1)**2 + (6*y - 1)**2))", "2"),
+    ])
+    def test_field_not_finite_off_the_probe_lattice_fails_audit(self, tmp_path, a, b, c):
+        # Both fields are finite on the probe lattice, so they pass the field
+        # check and planning; the non-finite values appear only in assembly.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a={a}\nb={b}\nc={c}\nf=0\ng=x\nn=3\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(monofd.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "monofd.cli", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_AUDIT, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
     def test_bad_config_line(self, tmp_path):

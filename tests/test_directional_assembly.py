@@ -1,13 +1,12 @@
-"""The array path for the directional terms against the per-node loop it replaced.
+"""The array assembly against per-node scalar forms of its parts.
 
-The scalar forms below are that loop's: the direction table built case by
-case, the ray-box clip of one arm, and the per-node assembly of every
-directional term with ``directional_term_row`` on one node's values and
-``field.tensor`` at each arm midpoint.  They are the oracles for
-``direction_offsets``, ``clip_arms`` and ``assemble``.
+The scalar forms below are the direction table built case by case, the
+ray-box clip of one arm, and the per-node assembly of all four splitting
+terms with ``split_values`` on ``field.tensor`` at each arm midpoint and
+``directional_term_row`` on one node's values.  They are the oracles for
+``direction_offsets``/``direction_slopes``, ``clip_arms`` and ``assemble``.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +17,8 @@ from hypothesis import strategies as st
 
 from monofd.assembly import assemble, directional_term_row
 from monofd.grid import build_grid
-from monofd.stencil import ArmEndpoint, clip_arm, clip_arms, plan_grid, principal_directions
+from monofd.splitting import split_values
+from monofd.stencil import ArmEndpoint, clip_arm, clip_arms, direction_offsets, direction_slopes, plan_grid
 
 
 def table_reference(m):
@@ -61,38 +61,49 @@ def clip_reference(grid, node, offset):
 
 
 def assemble_reference(problem, grid, plan):
-    """``assemble`` with the directional terms added node by node.
+    """``assemble`` node by node: the source, then the x, y, b>0 and b<0 terms.
 
-    The axis terms and the source come from ``assemble`` on the plan with
-    its directions removed; they do not go through the directional path.
+    Each term's coefficient at an arm midpoint is its entry of
+    ``split_values``; the b>0 and b<0 terms take only their own part of b.
     """
-    no_directions = dataclasses.replace(plan, i1=np.zeros_like(plan.i1), i2=np.zeros_like(plan.i2))
-    axis = assemble(problem, grid, no_directions)
-    coo = axis.matrix.tocoo()
-    triplets = list(zip(coo.row, coo.col, coo.data))
-    rhs = axis.rhs.copy()
     n = grid.n
-    for side, i_arr in (("plus", plan.i1), ("minus", plan.i2)):
-        for row in np.flatnonzero(i_arr):
-            node = grid.node_from_linear(int(row))
-            dx, dy = principal_directions(int(plan.m[row])).offsets[int(i_arr[row])]
-            slope = dy / dx
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(grid.interior_count)
+    for row in range(grid.interior_count):
+        node = grid.node_from_linear(row)
+        x0, y0 = node.j / n, node.k / n
+        rhs[row] = float(problem.f(x0, y0))
+        m = int(plan.m[row])
+        _, offsets = table_reference(m)
+        i1, i2 = int(plan.i1[row]), int(plan.i2[row])
+        tan1, tan2 = ((offsets[i][1] / offsets[i][0]) if i else None for i in (i1, i2))
+
+        def gamma_x(a, b, c):
+            return split_values(a, b, c, tan1, tan2)[0]
+
+        def gamma_y(a, b, c):
+            return split_values(a, b, c, tan1, tan2)[3]
+
+        def gamma_plus(a, b, c):
+            return split_values(a, max(b, 0.0), c, tan1, None)[1]
+
+        def gamma_minus(a, b, c):
+            return split_values(a, min(b, 0.0), c, None, tan2)[2]
+
+        terms = [((1, 0), gamma_x), ((0, 1), gamma_y)]
+        terms += [(offsets[i], gamma) for i, gamma in ((i1, gamma_plus), (i2, gamma_minus)) if i]
+        for (dx, dy), gamma in terms:
             ends = [clip_reference(grid, (node.j, node.k), off) for off in ((dx, dy), (-dx, -dy))]
-            gammas = []
-            for end in ends:
-                _, b, _ = problem.field.tensor((node.j / n + end.point[0]) / 2.0,
-                                               (node.k / n + end.point[1]) / 2.0)
-                part = max(b, 0.0) if side == "plus" else min(b, 0.0)
-                gammas.append(part * (1.0 / slope + slope))
+            gammas = [gamma(*problem.field.tensor((x0 + end.point[0]) / 2.0, (y0 + end.point[1]) / 2.0))
+                      for end in ends]
             w_lo, w_center, w_hi = directional_term_row(*gammas, ends[0].distance, ends[1].distance)
-            triplets.append((row, row, w_center))
+            rows.append(row), cols.append(row), vals.append(w_center)
             for end, w in zip(ends, (w_hi, w_lo)):
                 if end.kind == "node" and not end.on_boundary:
-                    triplets.append((row, grid.linear_index(*end.node), w))
+                    rows.append(row), cols.append(grid.linear_index(*end.node)), vals.append(w)
                 else:
                     rhs[row] -= w * float(problem.g(*end.point))
-    rows, cols, vals = zip(*triplets)
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=axis.matrix.shape).tocsr()
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(grid.interior_count,) * 2).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()
     return matrix, rhs
@@ -100,8 +111,14 @@ def assemble_reference(problem, grid, plan):
 
 def test_direction_table_matches_case_by_case_table():
     for m in range(1, 41):
-        table = principal_directions(m)
-        assert (table.angles, table.offsets) == table_reference(m), m
+        angles, offsets = table_reference(m)
+        index = np.arange(-2 * m + 1, 2 * m + 1)
+        dx, dy = direction_offsets(m, index)
+        assert {int(i): (int(x), int(y)) for i, x, y in zip(index, dx, dy)} == offsets, m
+        slopes = direction_slopes(m, index)
+        assert np.isnan(slopes[index == 0]).all()
+        assert {int(i): math.atan(t) for i, t in zip(index, slopes) if i} == \
+            {i: angle for i, angle in angles.items() if i}, m
 
 
 @st.composite

@@ -13,8 +13,9 @@ from monofd.splitting import AngleIntervals
 from monofd.stencil import (
     check_mesh_condition,
     clip_arm,
+    direction_offsets,
+    direction_slopes,
     plan_grid,
-    principal_directions,
     select_stencil,
     stencil_upper_bound,
 )
@@ -25,38 +26,34 @@ def intervals(a=-np.inf, b=np.inf, c=-np.inf, d=np.inf):
 
 
 class TestPrincipalDirections:
+    """The direction table: offsets and slopes of the indices -2m+1..2m."""
+
     def test_m1_angles(self):
-        table = principal_directions(1)
-        assert sorted(table.angles) == [-1, 0, 1, 2]
-        assert table.angles[1] == pytest.approx(math.pi / 4)
-        assert table.angles[-1] == pytest.approx(-math.pi / 4)
-        assert table.angles[2] == pytest.approx(math.pi / 2)
-        assert table.angles[0] == 0.0
+        dx, dy = direction_offsets(1, np.arange(-1, 3))
+        assert list(zip(dx, dy)) == [(1, -1), (1, 0), (1, 1), (0, 1)]
+        slopes = direction_slopes(1, np.arange(-1, 3))
+        assert np.isnan(slopes[1])  # index 0 is no direction
+        assert np.arctan(slopes[[0, 2, 3]]) == pytest.approx([-math.pi / 4, math.pi / 4, math.pi / 2])
 
     def test_m2_second_branch(self):
-        table = principal_directions(2)
-        assert table.angles[3] == pytest.approx(math.atan(2.0))
-        assert table.offsets[3] == (1, 2)
+        assert tuple(direction_offsets(2, 3)) == (1, 2)
+        assert direction_slopes(2, 3) == 2.0
 
     def test_m2_third_branch(self):
-        table = principal_directions(2)
-        assert table.angles[-3] == pytest.approx(math.atan(-2.0))
-        assert table.offsets[-3] == (1, -2)
+        assert tuple(direction_offsets(2, -3)) == (1, -2)
+        assert direction_slopes(2, -3) == -2.0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_counts_and_outer_ring(self, m):
-        table = principal_directions(m)
-        assert len(table.angles) == 4 * m
-        assert set(table.angles) == set(range(-2 * m + 1, 2 * m + 1))
-        slopes = set()
-        for i, (dx, dy) in table.offsets.items():
-            assert max(abs(dx), abs(dy)) == m
-            slopes.add(math.inf if dx == 0 else round(dy / dx, 12))
+        dx, dy = direction_offsets(m, np.arange(-2 * m + 1, 2 * m + 1))
+        assert np.all(np.maximum(np.abs(dx), np.abs(dy)) == m)
+        slopes = {math.inf if x == 0 else round(y / x, 12) for x, y in zip(dx, dy)}
         assert len(slopes) == 4 * m  # distinct directions modulo pi
 
-    def test_invalid_m(self):
+    def test_invalid_m(self, prep_exam1):
         with pytest.raises(PlanningError):
-            principal_directions(0)
+            plan_grid(build_grid(5), prep_exam1.problem.field, prep_exam1.constants,
+                      prep_exam1.table, fixed_m=0)
 
 
 class TestUpperBound:
@@ -256,10 +253,10 @@ class TestPlanGrid:
             node = grid.node_from_linear(idx)
             assert (int(j), int(k)) == (node.j, node.k)
             assert (int(m), int(i1), int(i2)) == (plan.m[idx], plan.i1[idx], plan.i2[idx])
-            offsets = principal_directions(int(m)).offsets
             ends = [
-                clip_arm(grid, (node.j, node.k), (sign * offsets[i][0], sign * offsets[i][1]))
+                clip_arm(grid, (node.j, node.k), (sign * int(dx), sign * int(dy)))
                 for i in (int(i1), int(i2)) if i
+                for dx, dy in [direction_offsets(int(m), i)]
                 for sign in (1, -1)
             ]
             assert int(clipped) == sum(end.kind == "boundary" for end in ends)

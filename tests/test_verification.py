@@ -145,12 +145,12 @@ class TestSignPattern:
 
     def test_mis_set_angle_aborts_assembly(self, prep_exam3):
         # beyond-interval slope must be refused during assembly, not silently
-        # emitted: force tan(beta1) above inf c/b on a sign-changing grid
+        # emitted: force tan(beta1) = -1 below sup b/a on a sign-changing grid
         from monofd.errors import AssemblyError
 
         grid = build_grid(11)
         plan = plan_grid(grid, prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
-        plan.tan1[:] = 4.0  # far outside (sup b/a, inf c/b)
+        plan.i1[:] = -1  # slope -1, outside (sup b/a, inf c/b)
         with pytest.raises(AssemblyError):
             assemble(prep_exam3.problem, grid, plan)
 
