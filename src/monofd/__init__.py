@@ -29,7 +29,7 @@ from .field import (
     built_in_field,
     compute_constants,
 )
-from .grid import Grid, NodeIndex, build_grid
+from .grid import Grid, build_grid
 from .problems import built_in_problem
 from .solver import SolveReport, residual, solve
 from .splitting import AngleIntervals, slope_bounds

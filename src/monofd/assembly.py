@@ -139,17 +139,25 @@ def _evaluate(fn, xs, ys) -> np.ndarray:
 
 
 def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
-    node = grid.node_from_linear(row)
-    return AssemblyError(f"{message} at node (j={node.j}, k={node.k})", node=(node.j, node.k))
+    j, k = grid.node_from_linear(row)
+    return AssemblyError(f"{message} at node (j={j}, k={k})", node=(j, k))
 
 
 def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
     """gamma0 (which=0) or gamma2 (which=1) at one point per node, from its slopes.
 
+    Evaluates only b and the diagonal entry the term uses (a for gamma0, c
+    for gamma2), passed to ``axis_coefficients`` in both diagonal slots.
     nan where b has a sign for which the plan has no direction: a plan
     inconsistency, which ``_check_nonnegative`` reports.
     """
-    return lambda xs, ys: axis_coefficients(*field.tensor_arrays(xs, ys), tan1, tan2)[which]
+    diagonal = (field.a, field.c)[which]
+
+    def gamma(xs, ys):
+        d = _evaluate(diagonal, xs, ys)
+        return axis_coefficients(d, _evaluate(field.b, xs, ys), d, tan1, tan2)[which]
+
+    return gamma
 
 
 def _diagonal_gamma(field: DiffusionField, slope, side: str):

@@ -1,21 +1,25 @@
 """Command-line front end: plan, solve, dmp, converge, export.
 
 Runs are driven by a built-in problem name (exam1..exam4) or inline
-coefficient expressions, optionally loaded from a flat key=value config file;
-command-line flags win over config entries.  Every run writes a manifest with
-the resolved configuration, the field constants, plan summaries, and library
-versions.
+coefficient expressions, optionally loaded from a flat key=value config file.
+Each run option is one entry of ``_OPTIONS`` (config key, RunConfig field,
+parser, flag help); its flag wins over its config entry, and both go through
+the same parser, which checks the value's range.  ``main`` builds and
+prepares the problem once and passes it to the command.  Every run writes a
+manifest with the resolved configuration, the field constants, plan
+summaries, and library versions.
 
-Exit codes: 0 success, 2 config error (a tensor field that is not finite and
-positive definite included), 3 planning failure, 4 audit failure (an
-assembly error, a negative or undefined coefficient at some node, included),
-5 solver non-convergence.
+Exit codes: 0 success, 2 config error (a value out of range and a tensor
+field that is not finite and positive definite included), 3 planning
+failure, 4 audit failure (an assembly error, a negative or undefined
+coefficient at some node, included), 5 solver non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -38,7 +42,7 @@ from .expressions import parse_expression
 from .field import field_from_expressions
 from .grid import build_grid
 from .problems import BUILT_IN_PROBLEMS, built_in_problem
-from .stencil import check_mesh_condition, plan_grid, stencil_upper_bound
+from .stencil import MAX_HALF_WIDTH, check_mesh_condition, plan_grid, stencil_upper_bound
 from .verification import (
     Prepared,
     convergence_study,
@@ -66,7 +70,7 @@ REFERENCE_MAX_M = {"exam1": 2, "exam3": 1, "exam4-k10": 3, "exam4-k100": 26}
 @dataclass
 class RunConfig:
     problem: str | None = None
-    n_list: list[int] = dc_field(default_factory=list)
+    n: list[int] = dc_field(default_factory=list)
     k: float = 10.0
     fixed_m: int | None = None
     tol: float = 1e-10
@@ -77,20 +81,48 @@ class RunConfig:
     inline: dict[str, str] = dc_field(default_factory=dict)
 
 
-_CONFIG_KEYS = {
-    "problem", "n", "k", "m", "tol", "max_iter", "probe_step", "out", "force",
-    "a", "b", "c", "f", "exact_u", "g",
-}
+# Config keys that give a custom problem's expressions, kept as text.
+_INLINE_KEYS = ("a", "b", "c", "f", "exact_u", "g")
 
 
 def _parse_n_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in str(text).split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid-size list {text!r}") from exc
-    if not values:
-        raise ConfigError("at least one grid size is required")
-    return values
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
+def _parse_half_width(text: str) -> int:
+    m = int(text)
+    if not 1 <= m <= MAX_HALF_WIDTH:
+        raise ValueError(f"must lie in [1, {MAX_HALF_WIDTH}]")
+    return m
+
+
+def _parse_tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("must be finite and > 0")
+    return tol
+
+
+def _parse_switch(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError("must be one of 1, true, yes, 0, false, no")
+    return word in ("1", "true", "yes")
+
+
+# Every run option: config key -> (RunConfig field, parser from text, flag
+# help).  Config entries and flags both go through the parser, and the
+# manifest's config line lists the fields in this order.
+_OPTIONS = {
+    "n": ("n", _parse_n_list, "comma-separated grid sizes (intervals per side)"),
+    "k": ("k", float, "anisotropy ratio for exam4"),
+    "m": ("fixed_m", _parse_half_width, "fixed stencil half-width instead of auto selection"),
+    "tol": ("tol", _parse_tolerance, "solver relative-residual tolerance"),
+    "max_iter": ("max_iter", int, "solver iteration cap"),
+    "probe_step": ("probe_step", float, "field sampling pitch"),
+    "out": ("out", Path, "output directory (default ./out)"),
+    "force": ("force", _parse_switch, "proceed past an audit failure"),
+}
 
 
 def load_config_file(path: Path) -> dict[str, str]:
@@ -104,70 +136,31 @@ def load_config_file(path: Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key != "problem" and key not in _OPTIONS and key not in _INLINE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value.strip()
     return entries
 
 
-def _config_number(entries: dict[str, str], key: str, kind):
-    try:
-        return kind(entries[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {entries[key]!r}") from exc
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    entries: dict[str, str] = {}
-    if args.config:
-        entries = load_config_file(Path(args.config))
-    if "problem" in entries:
-        cfg.problem = entries["problem"]
-    if "n" in entries:
-        cfg.n_list = _parse_n_list(entries["n"])
-    if "k" in entries:
-        cfg.k = _config_number(entries, "k", float)
-    if "m" in entries:
-        cfg.fixed_m = _config_number(entries, "m", int)
-    if "tol" in entries:
-        cfg.tol = _config_number(entries, "tol", float)
-    if "max_iter" in entries:
-        cfg.max_iter = _config_number(entries, "max_iter", int)
-    if "probe_step" in entries:
-        cfg.probe_step = _config_number(entries, "probe_step", float)
-    if "out" in entries:
-        cfg.out = Path(entries["out"])
-    if "force" in entries:
-        cfg.force = entries["force"].lower() in ("1", "true", "yes")
-    for key in ("a", "b", "c", "f", "exact_u", "g"):
-        if key in entries:
-            cfg.inline[key] = entries[key]
-
-    # Flags win over config-file entries.
-    if args.problem:
-        cfg.problem = args.problem
-    if args.n:
-        cfg.n_list = _parse_n_list(args.n)
-    if args.k is not None:
-        cfg.k = args.k
-    if args.m is not None:
-        cfg.fixed_m = args.m
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.max_iter is not None:
-        cfg.max_iter = args.max_iter
-    if args.probe_step is not None:
-        cfg.probe_step = args.probe_step
-    if args.out is not None:
-        cfg.out = Path(args.out)
-    if args.force:
-        cfg.force = True
-
-    if not cfg.n_list:
+    """Each option from its flag if given, else its config entry, else its default."""
+    entries = load_config_file(Path(args.config)) if args.config else {}
+    cfg = RunConfig(
+        problem=args.problem or entries.get("problem"),
+        inline={key: entries[key] for key in _INLINE_KEYS if key in entries},
+    )
+    for key, (name, parse, _) in _OPTIONS.items():
+        text = getattr(args, key)
+        if text is None:
+            text = entries.get(key)
+        if text is None:
+            continue
+        try:
+            setattr(cfg, name, parse(text))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
+    if not cfg.n:
         raise ConfigError("no grid sizes given; use --n or a config file")
-    if cfg.fixed_m is not None and cfg.fixed_m < 1:
-        raise ConfigError("fixed stencil half-width must be >= 1")
     return cfg
 
 
@@ -214,10 +207,8 @@ class Reporter:
             "versions: monofd %s, numpy %s, scipy %s, python %s"
             % (__version__, np.__version__, scipy.__version__, sys.version.split()[0])
         )
-        self.emit(f"config: problem={cfg.problem!r} n={cfg.n_list} k={cfg.k} "
-                  f"fixed_m={cfg.fixed_m} tol={cfg.tol} max_iter={cfg.max_iter} "
-                  f"probe_step={cfg.probe_step} out={cfg.out} force={cfg.force} "
-                  f"inline={cfg.inline}")
+        options = " ".join(f"{name}={getattr(cfg, name)}" for name, _, _ in _OPTIONS.values())
+        self.emit(f"config: problem={cfg.problem!r} {options} inline={cfg.inline}")
 
     def emit(self, line: str) -> None:
         print(line)
@@ -261,15 +252,18 @@ def _describe_plan(rep: Reporter, name: str, n: int, plan, mesh) -> None:
         )
 
 
-def cmd_plan(cfg: RunConfig, rep: Reporter) -> int:
-    problem = build_problem(cfg)
-    prepared = prepare(problem, cfg.probe_step)
-    _describe_constants(rep, prepared)
-    for n in cfg.n_list:
-        grid = build_grid(n)
-        plan = plan_grid(grid, problem.field, prepared.constants, prepared.table, fixed_m=cfg.fixed_m)
-        mesh = check_mesh_condition(grid, plan, prepared.constants)
-        _describe_plan(rep, problem.name, n, plan, mesh)
+def _plan(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
+    """Plan the N=n grid and report the plan; returns the grid and plan."""
+    grid = build_grid(n)
+    plan = plan_grid(grid, prepared.problem.field, prepared.constants, prepared.table, fixed_m=cfg.fixed_m)
+    mesh = check_mesh_condition(grid, plan, prepared.constants)
+    _describe_plan(rep, prepared.problem.name, n, plan, mesh)
+    return grid, plan
+
+
+def cmd_plan(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
+    for n in cfg.n:
+        _, plan = _plan(cfg, rep, prepared, n)
         path = cfg.out / f"plan_N{n}.txt"
         with open(path, "w") as fh:
             plan.dump(fh)
@@ -305,25 +299,19 @@ def _run_one(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
     return case
 
 
-def cmd_solve(cfg: RunConfig, rep: Reporter) -> int:
-    problem = build_problem(cfg)
-    prepared = prepare(problem, cfg.probe_step)
-    _describe_constants(rep, prepared)
-    for n in cfg.n_list:
+def cmd_solve(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
+    for n in cfg.n:
         case = _run_one(cfg, rep, prepared, n)
-        full = solution_on_grid(problem, case.grid, case.solution)
+        full = solution_on_grid(prepared.problem, case.grid, case.solution)
         path = cfg.out / f"solution_N{n}.txt"
         np.savetxt(path, full)
         rep.emit(f"N={n}: solution grid ({n + 1}x{n + 1} values) written to {path}")
     return EXIT_OK
 
 
-def cmd_dmp(cfg: RunConfig, rep: Reporter) -> int:
-    problem = build_problem(cfg)
-    prepared = prepare(problem, cfg.probe_step)
-    _describe_constants(rep, prepared)
+def cmd_dmp(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
     rows = []
-    for n in cfg.n_list:
+    for n in cfg.n:
         row = dmp_row(prepared, n, functools.partial(_run_one, cfg, rep, prepared))
         rows.append(row)
         rep.emit(
@@ -337,15 +325,10 @@ def cmd_dmp(cfg: RunConfig, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_converge(cfg: RunConfig, rep: Reporter) -> int:
-    problem = build_problem(cfg)
-    if problem.exact_u is None:
-        raise ConfigError(f"problem {problem.name!r} has no exact solution; cannot study convergence")
-    prepared = prepare(problem, cfg.probe_step)
-    _describe_constants(rep, prepared)
+def cmd_converge(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
     rows, slope = convergence_study(
         prepared,
-        cfg.n_list,
+        cfg.n,
         tol=cfg.tol,
         max_iter=cfg.max_iter,
         fixed_m=cfg.fixed_m,
@@ -361,16 +344,10 @@ def cmd_converge(cfg: RunConfig, rep: Reporter) -> int:
     return EXIT_OK
 
 
-def cmd_export(cfg: RunConfig, rep: Reporter) -> int:
-    problem = build_problem(cfg)
-    prepared = prepare(problem, cfg.probe_step)
-    _describe_constants(rep, prepared)
-    for n in cfg.n_list:
-        grid = build_grid(n)
-        plan = plan_grid(grid, problem.field, prepared.constants, prepared.table, fixed_m=cfg.fixed_m)
-        mesh = check_mesh_condition(grid, plan, prepared.constants)
-        _describe_plan(rep, problem.name, n, plan, mesh)
-        system = assemble(problem, grid, plan)
+def cmd_export(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
+    for n in cfg.n:
+        grid, plan = _plan(cfg, rep, prepared, n)
+        system = assemble(prepared.problem, grid, plan)
         summary = sign_pattern_summary(system)
         rep.emit(
             f"N={n}: sign pattern: {summary.positive_diagonal}/{system.dimension} positive diagonals, "
@@ -385,12 +362,13 @@ def cmd_export(cfg: RunConfig, rep: Reporter) -> int:
     return EXIT_OK
 
 
+# Each command: name -> (function, help).
 _COMMANDS = {
-    "plan": cmd_plan,
-    "solve": cmd_solve,
-    "dmp": cmd_dmp,
-    "converge": cmd_converge,
-    "export": cmd_export,
+    "plan": (cmd_plan, "compute constants and per-node stencil plans"),
+    "solve": (cmd_solve, "assemble, audit, and solve; write the solution grid"),
+    "dmp": (cmd_dmp, "extrema table for a zero-source problem"),
+    "converge": (cmd_converge, "convergence study against the exact solution"),
+    "export": (cmd_export, "write the assembled matrix and right-hand side"),
 }
 
 
@@ -400,37 +378,28 @@ def make_parser() -> argparse.ArgumentParser:
         description="Monotone finite-difference solver for anisotropic diffusion on the unit square.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("plan", "compute constants and per-node stencil plans"),
-        ("solve", "assemble, audit, and solve; write the solution grid"),
-        ("dmp", "extrema table for a zero-source problem"),
-        ("converge", "convergence study against the exact solution"),
-        ("export", "write the assembled matrix and right-hand side"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("problem", nargs="?", help=f"built-in problem name {BUILT_IN_PROBLEMS}")
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--n", help="comma-separated grid sizes (intervals per side)")
-        p.add_argument("--k", type=float, help="anisotropy ratio for exam4")
-        p.add_argument("--m", type=int, help="fixed stencil half-width instead of auto selection")
-        p.add_argument("--tol", type=float, help="solver relative-residual tolerance")
-        p.add_argument("--max-iter", dest="max_iter", type=int, help="solver iteration cap")
-        p.add_argument("--probe-step", dest="probe_step", type=float, help="field sampling pitch")
-        p.add_argument("--out", help="output directory (default ./out)")
-        p.add_argument("--force", action="store_true", help="proceed past an audit failure")
+        for key, (_, parse, option_help) in _OPTIONS.items():
+            # A flag passes its text to the option's parser; a switch flag passes "yes".
+            switch = {"action": "store_const", "const": "yes"} if parse is _parse_switch else {}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=option_help, **switch)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     rep = None
     try:
         cfg = resolve_config(args)
         rep = Reporter(cfg, args.command, argv)
-        code = _COMMANDS[args.command](cfg, rep)
-        return code
+        prepared = prepare(build_problem(cfg), cfg.probe_step)
+        _describe_constants(rep, prepared)
+        command, _ = _COMMANDS[args.command]
+        return command(cfg, rep, prepared)
     except (ConfigError, FieldValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,16 +13,7 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["Grid", "NodeIndex", "build_grid"]
-
-
-@dataclass(frozen=True)
-class NodeIndex:
-    """Lattice coordinates of a mesh node; ``linear`` is None on the boundary."""
-
-    j: int
-    k: int
-    linear: int | None
+__all__ = ["Grid", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -36,34 +27,20 @@ class Grid:
     def interior_count(self) -> int:
         return (self.n - 1) ** 2
 
-    def x(self, j: int) -> float:
-        return j / self.n
-
-    def y(self, k: int) -> float:
-        return k / self.n
-
     def is_interior(self, j: int, k: int) -> bool:
         return 1 <= j <= self.n - 1 and 1 <= k <= self.n - 1
-
-    def is_node(self, j: int, k: int) -> bool:
-        return 0 <= j <= self.n and 0 <= k <= self.n
-
-    def node(self, j: int, k: int) -> NodeIndex:
-        if not self.is_node(j, k):
-            raise GridError(f"({j}, {k}) is not a node of an N={self.n} grid")
-        linear = self.linear_index(j, k) if self.is_interior(j, k) else None
-        return NodeIndex(j, k, linear)
 
     def linear_index(self, j: int, k: int) -> int:
         if not self.is_interior(j, k):
             raise GridError(f"({j}, {k}) is not interior; boundary nodes carry no unknown")
         return (k - 1) * (self.n - 1) + (j - 1)
 
-    def node_from_linear(self, linear: int) -> NodeIndex:
+    def node_from_linear(self, linear: int) -> tuple[int, int]:
+        """Column and row (j, k) of the interior node with this linear index."""
         if not 0 <= linear < self.interior_count:
             raise GridError(f"linear index {linear} out of range for N={self.n}")
         k, j = divmod(linear, self.n - 1)
-        return NodeIndex(j + 1, k + 1, linear)
+        return j + 1, k + 1
 
     def interior_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Column and row indices (j, k) of interior nodes in linear order."""

@@ -54,11 +54,15 @@ __all__ = [
     "plan_grid",
     "check_mesh_condition",
     "DEFAULT_SAFETY",
+    "MAX_HALF_WIDTH",
 ]
 
 # Fraction of the admissible interval kept clear on each side; guards the
 # chosen slope against sampling error without distorting wide intervals.
 DEFAULT_SAFETY = 0.05
+
+# Largest half-width a plan can store: its int32 direction indices reach 2m.
+MAX_HALF_WIDTH = np.iinfo(np.int32).max // 2
 
 
 def direction_offsets(m, i):
@@ -233,8 +237,9 @@ def clip_arms(grid: Grid, j, k, dx, dy):
     j, k, dx, dy = np.broadcast_arrays(j, k, dx, dy)
     tj, tk = j + dx, k + dy
     ej, ek = tj.astype(float), tk.astype(float)
-    # sqrt of the exact integer dx^2 + dy^2 is correctly rounded, as math.hypot is
-    length = grid.h * np.sqrt(dx * dx + dy * dy)
+    # sqrt of the exact integer dx^2 + dy^2 is correctly rounded, as math.hypot
+    # is; squared in int64, where a plan's int32 offsets cannot wrap
+    length = grid.h * np.sqrt(np.square(dx, dtype=np.int64) + np.square(dy, dtype=np.int64))
     leaves = (tj < 0) | (tj > n) | (tk < 0) | (tk > n)
     out = np.flatnonzero(leaves)
     if out.size:
@@ -379,8 +384,8 @@ def plan_grid(
     """
     if m_cap is None:
         m_cap = stencil_upper_bound(constants)
-    if fixed_m is not None and fixed_m < 1:
-        raise PlanningError(f"fixed stencil half-width must be >= 1, got {fixed_m}")
+    if fixed_m is not None and not 1 <= fixed_m <= MAX_HALF_WIDTH:
+        raise PlanningError(f"fixed stencil half-width must lie in [1, {MAX_HALF_WIDTH}], got {fixed_m}")
     X, Y = grid.interior_coords()
     specials = _SpecialPoints(field, grid)
     bounds, empty = table.ball_bounds(X, Y, constants.radius)
@@ -401,14 +406,14 @@ def plan_grid(
     bad = failed | unsafe
     if bad.any():
         first = int(np.argmax(bad))
-        node = grid.node_from_linear(int(fallback[first]))
+        j, k = grid.node_from_linear(int(fallback[first]))
         intervals = AngleIntervals(*(float(v[first]) for v in merged))
         if failed[first]:
             exc = _no_stencil(intervals, m_cap)
-            message = f"planning failed at node (j={node.j}, k={node.k}): {exc}"
+            message = f"planning failed at node (j={j}, k={k}): {exc}"
         else:
-            message = f"no sign-safe direction pair at node (j={node.j}, k={node.k})"
-        raise PlanningError(message, node=(node.j, node.k), intervals=intervals)
+            message = f"no sign-safe direction pair at node (j={j}, k={k})"
+        raise PlanningError(message, node=(j, k), intervals=intervals)
     for out, values in zip((m, i1, i2), replan):
         out[fallback] = values
     for ball, values in zip(bounds, merged):

@@ -153,6 +153,7 @@ def test_criterion_6_splitting_identity(prep_exam1, prep_exam3, prep_exam4):
         plan = plan_grid(grid, field, prepared.constants, prepared.table)
         X, Y = grid.interior_coords()
         radius = prepared.constants.radius
+        tan1s, tan2s = plan.tan1, plan.tan2
         worst_gamma = np.inf
         worst_rec = 0.0
         for _ in range(1000):
@@ -161,8 +162,8 @@ def test_criterion_6_splitting_identity(prep_exam1, prep_exam3, prep_exam4):
             rad = radius * math.sqrt(rng.uniform())
             x = min(max(X[idx] + rad * math.cos(angle), 0.0), 1.0)
             y = min(max(Y[idx] + rad * math.sin(angle), 0.0), 1.0)
-            tan1 = plan.tan1[idx]
-            tan2 = plan.tan2[idx]
+            tan1 = tan1s[idx]
+            tan2 = tan2s[idx]
             tan1 = None if math.isnan(tan1) else float(tan1)
             tan2 = None if math.isnan(tan2) else float(tan2)
             a, b, c = field.tensor(x, y)

@@ -226,31 +226,37 @@ class TestPlanInconsistency:
                       for ox, oy in ((-half, 0), (half, 0), (0, -half), (0, half))])
         idx = int(np.flatnonzero((b > 0.0).all(axis=0))[-1])
         plan.i1[idx] = 0
-        node = grid.node_from_linear(idx)
-        with pytest.raises(AssemblyError, match=rf"at node \(j={node.j}, k={node.k}\)") as info:
+        j, k = grid.node_from_linear(idx)
+        with pytest.raises(AssemblyError, match=rf"at node \(j={j}, k={k}\)") as info:
             assemble(prep_exam1.problem, grid, plan)
-        assert info.value.node == (node.j, node.k)
+        assert info.value.node == (j, k)
 
 
 class TestAxisMidpoints:
     def test_axis_terms_read_the_planners_sample_points(self, prep_exam1):
-        # The planner's sign check samples the tensor at X +- h/2 and Y +- h/2;
-        # the x and y terms, the only ones that read a, must use the same points.
+        # The planner's sign check takes gamma0 at X +- h/2 and gamma2 at
+        # Y +- h/2; the x term, the only one that reads a, and the y term, the
+        # only one that reads c, must use the same points.
         grid = build_grid(11)
         field = prep_exam1.problem.field
         plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
-        seen = set()
+        seen = {"a": set(), "c": set()}
 
-        def recording_a(x, y):
-            seen.update(zip(np.ravel(x), np.ravel(y)))
-            return field.a(x, y)
+        def recording(name):
+            entry = getattr(field, name)
 
-        problem = dataclasses.replace(prep_exam1.problem, field=dataclasses.replace(field, a=recording_a))
-        assemble(problem, grid, plan)
+            def read(x, y):
+                seen[name].update(zip(np.ravel(x), np.ravel(y)))
+                return entry(x, y)
+
+            return read
+
+        recorded = dataclasses.replace(field, a=recording("a"), c=recording("c"))
+        assemble(dataclasses.replace(prep_exam1.problem, field=recorded), grid, plan)
         X, Y = grid.interior_coords()
         half = 0.5 * grid.h
-        sampled = ((X - half, Y), (X + half, Y), (X, Y - half), (X, Y + half))
-        assert seen == {point for xs, ys in sampled for point in zip(xs, ys)}
+        assert seen["a"] == set(zip(X - half, Y)) | set(zip(X + half, Y))
+        assert seen["c"] == set(zip(X, Y - half)) | set(zip(X, Y + half))
 
 
 class TestBoundaryClipping:

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 
 import monofd
 
-from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, main
+from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, main, make_parser
 
 
 def run_cli(*argv):
@@ -71,12 +73,32 @@ class TestConfigHandling:
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
-    def test_bad_config_line(self, tmp_path):
+    def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        for text in ("problem exam1", "k=abc", "m=2.5", "tol=tight", "max_iter=1e3", "probe_step=fine"):
+        for text in ("problem exam1", "k=abc", "m=2.5", "tol=tight", "max_iter=1e3", "probe_step=fine",
+                     "probe_step=nan", "probe_step=1e-7", "probe_step=1e-300", "tol=0", "tol=-1", "tol=nan",
+                     "force=on", "m=0", "m=1500000000", "m=3000000000"):
             cfg.write_text(f"problem=exam1\n{text}\n")
             code = run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
             assert code == EXIT_CONFIG, text
+            assert capsys.readouterr().err.count("\n") == 1, text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--probe-step", "nan"), ("--tol", "0"), ("--k", "abc"), ("--m", "3000000000"),
+    ])
+    def test_bad_flag_value(self, tmp_path, capsys, flag, value):
+        # Flags go through the same parsers as config entries.
+        assert run_cli("solve", "exam3", "--n", "4", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_readme_lists_every_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        paragraph = readme.split("Common flags", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+        commands = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in commands.choices.items():
+            flags = {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+            assert flags == documented, name
 
 
 class TestPlanCommand:

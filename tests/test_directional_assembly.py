@@ -71,7 +71,7 @@ def assemble_reference(problem, grid, plan):
     rhs = np.zeros(grid.interior_count)
     for row in range(grid.interior_count):
         node = grid.node_from_linear(row)
-        x0, y0 = node.j / n, node.k / n
+        x0, y0 = node[0] / n, node[1] / n
         rhs[row] = float(problem.f(x0, y0))
         m = int(plan.m[row])
         _, offsets = table_reference(m)
@@ -93,7 +93,7 @@ def assemble_reference(problem, grid, plan):
         terms = [((1, 0), gamma_x), ((0, 1), gamma_y)]
         terms += [(offsets[i], gamma) for i, gamma in ((i1, gamma_plus), (i2, gamma_minus)) if i]
         for (dx, dy), gamma in terms:
-            ends = [clip_reference(grid, (node.j, node.k), off) for off in ((dx, dy), (-dx, -dy))]
+            ends = [clip_reference(grid, node, off) for off in ((dx, dy), (-dx, -dy))]
             gammas = [gamma(*problem.field.tensor((x0 + end.point[0]) / 2.0, (y0 + end.point[1]) / 2.0))
                       for end in ends]
             w_lo, w_center, w_hi = directional_term_row(*gammas, ends[0].distance, ends[1].distance)
@@ -165,6 +165,19 @@ def test_clip_arms_matches_scalar_clip(case):
     col = clip_arms(grid, *(np.array([v]) for v in (*node, *offset)))[3][0]
     interior = expected.kind == "node" and not expected.on_boundary
     assert col == (grid.linear_index(*expected.node) if interior else -1)
+
+
+def test_clip_arms_lengths_at_large_half_width():
+    # A plan stores m and its indices as int32; at m = 100000 the squared
+    # offsets (about 2e10) must not wrap.
+    m = 100000
+    i = np.array([5, m, m + 1, 2 * m - 1, -5, -m, -(2 * m - 1)], dtype=np.int32)
+    dx, dy = direction_offsets(np.full(i.size, m, dtype=np.int32), i)
+    grid = build_grid(8)
+    length = clip_arms(grid, 1, 1, dx, dy)[2]
+    for got, offset in zip(length, zip(dx.tolist(), dy.tolist())):
+        expected = clip_reference(grid, (1, 1), offset).distance
+        assert abs(got - expected) <= np.spacing(expected)
 
 
 @pytest.mark.parametrize("prepared, n", [("prep_exam1", 21), ("prep_exam4", 31), ("prep_exam4_k100", 201)])

@@ -10,8 +10,9 @@ def test_smallest_grid():
     grid = build_grid(2)
     assert grid.h == 0.5
     assert grid.interior_count == 1
-    node = grid.node(1, 1)
-    assert (grid.x(node.j), grid.y(node.k)) == (0.5, 0.5)
+    assert grid.node_from_linear(0) == (1, 1)
+    X, Y = grid.interior_coords()
+    assert (X.tolist(), Y.tolist()) == ([0.5], [0.5])
 
 
 def test_spacing_identity_and_interior_count():
@@ -22,9 +23,9 @@ def test_spacing_identity_and_interior_count():
 
 def test_hand_indexing_example():
     grid = build_grid(4)
-    node = grid.node(2, 3)
-    assert (grid.x(2), grid.y(3)) == (0.5, 0.75)
-    assert node.linear == 2 * 3 + 1 == 7
+    assert grid.linear_index(2, 3) == 2 * 3 + 1 == 7
+    X, Y = grid.interior_coords()
+    assert (X[7], Y[7]) == (0.5, 0.75)
 
 
 def test_rejects_degenerate_grid():
@@ -36,7 +37,6 @@ def test_rejects_degenerate_grid():
 
 def test_boundary_nodes_have_no_linear_index():
     grid = build_grid(5)
-    assert grid.node(0, 3).linear is None
     with pytest.raises(GridError):
         grid.linear_index(0, 3)
 
@@ -47,8 +47,7 @@ def test_linear_roundtrip(n, data):
     grid = build_grid(n)
     j = data.draw(st.integers(1, n - 1))
     k = data.draw(st.integers(1, n - 1))
-    node = grid.node_from_linear(grid.linear_index(j, k))
-    assert (node.j, node.k) == (j, k)
+    assert grid.node_from_linear(grid.linear_index(j, k)) == (j, k)
 
 
 def test_interior_coords_ordering():

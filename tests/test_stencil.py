@@ -11,6 +11,7 @@ from monofd.field import SplittingConstants, field_from_expressions
 from monofd.grid import build_grid
 from monofd.splitting import AngleIntervals
 from monofd.stencil import (
+    MAX_HALF_WIDTH,
     check_mesh_condition,
     clip_arm,
     direction_offsets,
@@ -51,9 +52,10 @@ class TestPrincipalDirections:
         assert len(slopes) == 4 * m  # distinct directions modulo pi
 
     def test_invalid_m(self, prep_exam1):
-        with pytest.raises(PlanningError):
-            plan_grid(build_grid(5), prep_exam1.problem.field, prep_exam1.constants,
-                      prep_exam1.table, fixed_m=0)
+        for fixed_m in (0, MAX_HALF_WIDTH + 1):
+            with pytest.raises(PlanningError):
+                plan_grid(build_grid(5), prep_exam1.problem.field, prep_exam1.constants,
+                          prep_exam1.table, fixed_m=fixed_m)
 
 
 class TestUpperBound:
@@ -61,7 +63,7 @@ class TestUpperBound:
         assert stencil_upper_bound(exam1_constants) == 13
 
     def test_equal_constants(self):
-        constants = SplittingConstants(2.0, 2.0, 1.0, 0, 0, 0, 1.0, 1e-2)
+        constants = SplittingConstants(2.0, 2.0, 1.0, 0, 0, 0, 1.0)
         assert stencil_upper_bound(constants) == 4
 
     def test_exam3_bound(self, prep_exam3):
@@ -151,8 +153,8 @@ class TestClipArm:
         grid = build_grid(7)
         for offset in [(3, 1), (-5, 2), (1, -4), (4, 3)]:
             end = clip_arm(grid, (2, 3), offset)
-            vx = end.point[0] - grid.x(2)
-            vy = end.point[1] - grid.y(3)
+            vx = end.point[0] - 2 / grid.n
+            vy = end.point[1] - 3 / grid.n
             cross = vx * offset[1] - vy * offset[0]
             assert abs(cross) < 1e-12
             assert end.distance == pytest.approx(math.hypot(vx, vy))
@@ -251,10 +253,10 @@ class TestPlanGrid:
         assert len(rows) == grid.interior_count
         for idx, (j, k, m, i1, _, i2, _, clipped) in enumerate(rows):
             node = grid.node_from_linear(idx)
-            assert (int(j), int(k)) == (node.j, node.k)
+            assert (int(j), int(k)) == node
             assert (int(m), int(i1), int(i2)) == (plan.m[idx], plan.i1[idx], plan.i2[idx])
             ends = [
-                clip_arm(grid, (node.j, node.k), (sign * int(dx), sign * int(dy)))
+                clip_arm(grid, node, (sign * int(dx), sign * int(dy)))
                 for i in (int(i1), int(i2)) if i
                 for dx, dy in [direction_offsets(int(m), i)]
                 for sign in (1, -1)
