@@ -62,9 +62,12 @@ class SparseSystem:
     duplicate-free coordinate triplets in row-sorted order.
     """
 
-    dimension: int
     matrix: sp.csr_matrix
     rhs: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
 
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         coo = self.matrix.tocoo()
@@ -130,7 +133,7 @@ class _Accumulator:
         matrix = sp.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
         matrix.sum_duplicates()
         matrix.sort_indices()
-        return SparseSystem(self.dim, matrix, self.rhs)
+        return SparseSystem(matrix, self.rhs)
 
 
 def _evaluate(fn, xs, ys) -> np.ndarray:
@@ -178,9 +181,10 @@ def _check_nonnegative(values: np.ndarray, rows: np.ndarray, grid: Grid, label: 
         raise _node_error(grid, int(rows[at]), f"negative or undefined {label} coefficient ({worst:.3e})")
 
 
-def assemble(problem: Problem, grid: Grid, plan: GridPlan) -> SparseSystem:
-    """Assemble the interior-node system with Dirichlet data folded into the rhs."""
-    field = problem.field
+def assemble(problem: Problem, plan: GridPlan) -> SparseSystem:
+    """Assemble the interior-node system on the plan's grid, with Dirichlet
+    data folded into the rhs."""
+    field, grid = problem.field, plan.grid
     J, K = grid.interior_nodes()
     every = np.arange(grid.interior_count)
     tan1, tan2 = plan.tan1, plan.tan2

@@ -96,6 +96,13 @@ def _parse_half_width(text: str) -> int:
     return m
 
 
+def _parse_iteration_cap(text: str) -> int:
+    cap = int(text)
+    if cap < 1:
+        raise ValueError("must be >= 1")
+    return cap
+
+
 def _parse_tolerance(text: str) -> float:
     tol = float(text)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -118,7 +125,7 @@ _OPTIONS = {
     "k": ("k", float, "anisotropy ratio for exam4"),
     "m": ("fixed_m", _parse_half_width, "fixed stencil half-width instead of auto selection"),
     "tol": ("tol", _parse_tolerance, "solver relative-residual tolerance"),
-    "max_iter": ("max_iter", int, "solver iteration cap"),
+    "max_iter": ("max_iter", _parse_iteration_cap, "solver iteration cap"),
     "probe_step": ("probe_step", float, "field sampling pitch"),
     "out": ("out", Path, "output directory (default ./out)"),
     "force": ("force", _parse_switch, "proceed past an audit failure"),
@@ -253,17 +260,15 @@ def _describe_plan(rep: Reporter, name: str, n: int, plan, mesh) -> None:
 
 
 def _plan(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
-    """Plan the N=n grid and report the plan; returns the grid and plan."""
-    grid = build_grid(n)
-    plan = plan_grid(grid, prepared.problem.field, prepared.constants, prepared.table, fixed_m=cfg.fixed_m)
-    mesh = check_mesh_condition(grid, plan, prepared.constants)
-    _describe_plan(rep, prepared.problem.name, n, plan, mesh)
-    return grid, plan
+    """Plan the N=n grid and report the plan."""
+    plan = plan_grid(build_grid(n), prepared.table, prepared.constants, fixed_m=cfg.fixed_m)
+    _describe_plan(rep, prepared.problem.name, n, plan, check_mesh_condition(plan))
+    return plan
 
 
 def cmd_plan(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
     for n in cfg.n:
-        _, plan = _plan(cfg, rep, prepared, n)
+        plan = _plan(cfg, rep, prepared, n)
         path = cfg.out / f"plan_N{n}.txt"
         with open(path, "w") as fh:
             plan.dump(fh)
@@ -346,8 +351,7 @@ def cmd_converge(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
 
 def cmd_export(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
     for n in cfg.n:
-        grid, plan = _plan(cfg, rep, prepared, n)
-        system = assemble(prepared.problem, grid, plan)
+        system = assemble(prepared.problem, _plan(cfg, rep, prepared, n))
         summary = sign_pattern_summary(system)
         rep.emit(
             f"N={n}: sign pattern: {summary.positive_diagonal}/{system.dimension} positive diagonals, "

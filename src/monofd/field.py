@@ -13,7 +13,7 @@ lattice sampling we estimate:
                  which admissible direction intervals are guaranteed nonempty.
 
 Suprema and infima are lattice estimates, not certificates; the planner adds
-its own safety margins on top (see stencil.select_stencil).
+its own safety margin on top (see stencil.plan_grid and DEFAULT_SAFETY).
 """
 
 from __future__ import annotations
@@ -191,16 +191,14 @@ def _axis_lipschitz(values: np.ndarray, step: float) -> float:
     return float((d0 + d1) / step)
 
 
-def compute_constants(field: DiffusionField, probe_step: float = 1e-3, table: ProbeTable | None = None) -> SplittingConstants:
-    """Estimate the field-wide planning constants by dense lattice sampling.
+def compute_constants(table: ProbeTable) -> SplittingConstants:
+    """Planning constants of ``table.field`` from its probe-lattice samples.
 
-    Raises FieldValidationError if any probe is non-finite or violates
-    positive definiteness.
-    For constant fields every Lipschitz estimate vanishes and the radius is
-    capped at the domain diameter.
+    Raises FieldValidationError, naming the probe with the smallest
+    determinant, unless every sample is finite with a, c and a*c - b^2
+    positive.  A constant field has zero Lipschitz estimates; its radius is
+    the domain diameter.
     """
-    if table is None:
-        table = ProbeTable(field, probe_step)
     a, b, c, det = table.a, table.b, table.c, table.det
     # A NaN or infinite a, b or c makes det non-finite as well.
     finite = np.isfinite(det)
@@ -208,7 +206,7 @@ def compute_constants(field: DiffusionField, probe_step: float = 1e-3, table: Pr
         worst = np.unravel_index(int(np.argmin(np.where(finite, det, -np.inf))), det.shape)
         point = (float(table.xs[worst[1]]), float(table.xs[worst[0]]))
         raise FieldValidationError(
-            f"field {field.name!r} is not finite and uniformly positive definite near {point}",
+            f"field {table.field.name!r} is not finite and uniformly positive definite near {point}",
             point=point,
         )
     alpha_bar = float(det.min())

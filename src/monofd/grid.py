@@ -21,7 +21,10 @@ class Grid:
     """Uniform (N+1) x (N+1) node lattice on [0,1]^2 with spacing h = 1/N."""
 
     n: int
-    h: float
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.n
 
     @property
     def interior_count(self) -> int:
@@ -57,4 +60,4 @@ def build_grid(n: int) -> Grid:
     """Build the uniform grid with ``n`` intervals per side (h = 1/n)."""
     if int(n) != n or n < 2:
         raise GridError(f"grid needs at least 2 intervals per side, got {n!r}")
-    return Grid(int(n), 1.0 / int(n))
+    return Grid(int(n))

@@ -364,32 +364,25 @@ class _SpecialPoints:
         return (gamma >= 0.0).all(axis=0)
 
 
-def plan_grid(
-    grid: Grid,
-    field: DiffusionField,
-    constants: SplittingConstants,
-    table: ProbeTable,
-    m_cap: int | None = None,
-    fixed_m: int | None = None,
-    safety: float = DEFAULT_SAFETY,
-) -> GridPlan:
-    """Plan every interior node of the grid.
+def plan_grid(grid: Grid, table: ProbeTable, constants: SplittingConstants, fixed_m: int | None = None) -> GridPlan:
+    """Plan every interior node of the grid for the field of ``table``.
 
     Selection runs over the ball intervals (which do not depend on the mesh
-    spacing); the chosen angles are then checked for sign safety at the 4
-    axis-edge midpoints the assembler will use.  Unsafe nodes are replanned
-    over the midpoint-augmented intervals, which makes safety structural at
-    the cost of a possibly larger m there.  Raises PlanningError naming the
-    first node whose intervals admit no direction pair under the cap.
+    spacing), with the ``DEFAULT_SAFETY`` margin and half-widths up to
+    ``stencil_upper_bound(constants)``; the chosen angles are then checked
+    for sign safety at the 4 axis-edge midpoints the assembler will use.
+    Unsafe nodes are replanned over the midpoint-augmented intervals, which
+    makes safety structural at the cost of a possibly larger m there.
+    Raises PlanningError naming the first node whose intervals admit no
+    direction pair under the cap.
     """
-    if m_cap is None:
-        m_cap = stencil_upper_bound(constants)
+    m_cap = stencil_upper_bound(constants)
     if fixed_m is not None and not 1 <= fixed_m <= MAX_HALF_WIDTH:
         raise PlanningError(f"fixed stencil half-width must lie in [1, {MAX_HALF_WIDTH}], got {fixed_m}")
     X, Y = grid.interior_coords()
-    specials = _SpecialPoints(field, grid)
+    specials = _SpecialPoints(table.field, grid)
     bounds, empty = table.ball_bounds(X, Y, constants.radius)
-    m, i1, i2 = _select(bounds, m_cap, safety, fixed_m)
+    m, i1, i2 = _select(bounds, m_cap, DEFAULT_SAFETY, fixed_m)
     every = np.arange(X.size)
     fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, m, i1, i2))
 
@@ -444,17 +437,13 @@ class MeshCondition:
     slack: float
 
 
-def check_mesh_condition(grid: Grid, plan: GridPlan, constants: SplittingConstants) -> MeshCondition:
-    """Check that every stencil fits inside its planning ball.
+def check_mesh_condition(plan: GridPlan) -> MeshCondition:
+    """Check that every stencil of the plan fits inside its planning ball.
 
     Failure does not invalidate an assembled system (the matrix audit is the
     direct certificate) but it voids the a priori guarantee, so callers should
     surface it.
     """
-    lhs = math.sqrt(2.0) * grid.h * plan.max_m
-    return MeshCondition(
-        passed=bool(lhs <= constants.radius),
-        lhs=lhs,
-        radius=constants.radius,
-        slack=constants.radius - lhs,
-    )
+    lhs = math.sqrt(2.0) * plan.grid.h * plan.max_m
+    radius = plan.constants.radius
+    return MeshCondition(passed=bool(lhs <= radius), lhs=lhs, radius=radius, slack=radius - lhs)

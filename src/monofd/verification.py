@@ -85,7 +85,6 @@ class Prepared:
 
 @dataclass(frozen=True)
 class CaseResult:
-    grid: Grid
     plan: GridPlan
     mesh_condition: MeshCondition
     system: SparseSystem
@@ -93,11 +92,15 @@ class CaseResult:
     solution: np.ndarray
     report: SolveReport
 
+    @property
+    def grid(self) -> Grid:
+        return self.plan.grid
+
 
 def prepare(problem: Problem, probe_step: float = 1e-3) -> Prepared:
     """Validate the field and cache its probe table and planning constants."""
     table = ProbeTable(problem.field, probe_step)
-    constants = compute_constants(problem.field, probe_step, table=table)
+    constants = compute_constants(table)
     return Prepared(problem, constants, table)
 
 
@@ -111,10 +114,9 @@ def run_case(
     require_convergence: bool = True,
 ) -> CaseResult:
     """Plan, assemble, audit, and solve one grid size."""
-    grid = build_grid(n)
-    plan = plan_grid(grid, prepared.problem.field, prepared.constants, prepared.table, fixed_m=fixed_m)
-    mesh = check_mesh_condition(grid, plan, prepared.constants)
-    system = assemble(prepared.problem, grid, plan)
+    plan = plan_grid(build_grid(n), prepared.table, prepared.constants, fixed_m=fixed_m)
+    mesh = check_mesh_condition(plan)
+    system = assemble(prepared.problem, plan)
     audit = audit_m_matrix(system)
     if require_audit and not audit.passed:
         raise AuditError(f"matrix audit failed at N={n}: {audit}")
@@ -123,20 +125,22 @@ def run_case(
         raise SolverError(
             f"solver did not reach tol={tol} at N={n}: residual {report.final_relative_residual}"
         )
-    return CaseResult(grid, plan, mesh, system, audit, solution, report)
+    return CaseResult(plan, mesh, system, audit, solution, report)
+
+
+def _on_boundary(fn, grid: Grid) -> np.ndarray:
+    """``fn`` at the boundary nodes, as one float array: the sides y=0, y=1,
+    x=0, x=1 in turn, corners included on each side."""
+    side = np.arange(grid.n + 1) / grid.n
+    zeros, ones = np.zeros_like(side), np.ones_like(side)
+    points = ((side, zeros), (side, ones), (zeros, side), (ones, side))
+    return np.concatenate([np.broadcast_to(np.asarray(fn(x, y), dtype=float), side.shape) for x, y in points])
 
 
 def boundary_extrema(problem: Problem, grid: Grid) -> tuple[float, float]:
     """Min and max of the Dirichlet data over boundary nodes."""
-    side = np.arange(grid.n + 1) / grid.n
-    values = [
-        np.asarray(problem.g(side, np.zeros_like(side)), dtype=float),
-        np.asarray(problem.g(side, np.ones_like(side)), dtype=float),
-        np.asarray(problem.g(np.zeros_like(side), side), dtype=float),
-        np.asarray(problem.g(np.ones_like(side), side), dtype=float),
-    ]
-    flat = np.concatenate([np.atleast_1d(v) for v in values])
-    return float(flat.min()), float(flat.max())
+    values = _on_boundary(problem.g, grid)
+    return float(values.min()), float(values.max())
 
 
 def _check_zero_source(problem: Problem, grid: Grid) -> None:
@@ -197,17 +201,8 @@ def manufactured_problem(field: DiffusionField, exact_u, name: str | None = None
 
 
 def _check_boundary_data(problem: Problem, grid: Grid) -> None:
-    side = np.arange(grid.n + 1) / grid.n
-    for xs, ys in (
-        (side, np.zeros_like(side)),
-        (side, np.ones_like(side)),
-        (np.zeros_like(side), side),
-        (np.ones_like(side), side),
-    ):
-        gv = np.asarray(problem.g(xs, ys), dtype=float)
-        uv = np.asarray(problem.exact_u(xs, ys), dtype=float)
-        if np.abs(gv - uv).max() > 1e-12:
-            raise ConfigError("Dirichlet data disagrees with the exact solution on the boundary")
+    if np.abs(_on_boundary(problem.g, grid) - _on_boundary(problem.exact_u, grid)).max() > 1e-12:
+        raise ConfigError("Dirichlet data disagrees with the exact solution on the boundary")
 
 
 def convergence_study(prepared: Prepared, n_list, **case_kwargs):

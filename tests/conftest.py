@@ -37,6 +37,5 @@ def exam1_constants(prep_exam1):
 
 @pytest.fixture(scope="session")
 def identity_setup():
-    field = built_in_field("identity")
-    table = ProbeTable(field, 1e-2)
-    return field, compute_constants(field, table=table), table
+    table = ProbeTable(built_in_field("identity"), 1e-2)
+    return table, compute_constants(table)

@@ -68,7 +68,7 @@ def test_criterion_2_exam1_constants(prep_exam1):
     assert abs(constants.alpha - 45.0) <= 2.3
     bound = stencil_upper_bound(constants)
     assert bound == 13
-    plan = plan_grid(build_grid(101), prep_exam1.problem.field, constants, prep_exam1.table)
+    plan = plan_grid(build_grid(101), prep_exam1.table, constants)
     assert plan.max_m == 2
     print(f"criterion 2: PASS - alpha_bar={constants.alpha_bar:.6g}, alpha={constants.alpha:.6g}, "
           f"bound={bound}, achieved max m={plan.max_m} (5x5 stencils suffice)")
@@ -150,7 +150,7 @@ def test_criterion_6_splitting_identity(prep_exam1, prep_exam3, prep_exam4):
     for prepared in (prep_exam1, prep_exam3, prep_exam4):
         field = prepared.problem.field
         grid = build_grid(81)
-        plan = plan_grid(grid, field, prepared.constants, prepared.table)
+        plan = plan_grid(grid, prepared.table, prepared.constants)
         X, Y = grid.interior_coords()
         radius = prepared.constants.radius
         tan1s, tan2s = plan.tan1, plan.tan2
@@ -211,17 +211,17 @@ def test_criterion_7_anisotropy_scaling(prep_exam4, prep_exam4_k100):
 def test_criterion_8_small_instance_oracles():
     field = built_in_field("identity")
     table = ProbeTable(field, 0.25)
-    constants = compute_constants(field, table=table)
+    constants = compute_constants(table)
     problem = Problem("plane", field, parse_expression("0"), parse_expression("x"))
 
     grid2 = build_grid(2)
-    system2 = assemble(problem, grid2, plan_grid(grid2, field, constants, table))
+    system2 = assemble(problem, plan_grid(grid2, table, constants))
     assert system2.matrix.toarray()[0, 0] == pytest.approx(16.0)
     u2, _ = solve(system2)
     assert u2 == pytest.approx([0.5], abs=1e-12)  # mean of the boundary data
 
     grid3 = build_grid(3)
-    system3 = assemble(problem, grid3, plan_grid(grid3, field, constants, table))
+    system3 = assemble(problem, plan_grid(grid3, table, constants))
     hand = 9.0 * np.array(
         [
             [4.0, -1.0, -1.0, 0.0],

@@ -29,9 +29,9 @@ def make_problem(field, f, g, exact=None, name="test"):
 def setup_case(field, f, g, n, probe=1e-2):
     problem = make_problem(field, f, g)
     table = ProbeTable(field, probe)
-    constants = compute_constants(field, table=table)
+    constants = compute_constants(table)
     grid = build_grid(n)
-    plan = plan_grid(grid, field, constants, table)
+    plan = plan_grid(grid, table, constants)
     return problem, grid, plan
 
 
@@ -67,7 +67,7 @@ class TestDirectionalTermRow:
 class TestAssembleIdentity:
     def test_single_unknown_mean_value(self):
         problem, grid, plan = setup_case(built_in_field("identity"), "0", "x", 2)
-        system = assemble(problem, grid, plan)
+        system = assemble(problem, plan)
         assert system.dimension == 1
         assert system.matrix.toarray()[0, 0] == pytest.approx(16.0)
         assert system.rhs == pytest.approx([8.0])  # (0 + 1 + 0.5 + 0.5)/h^2
@@ -76,7 +76,7 @@ class TestAssembleIdentity:
 
     def test_five_point_laplacian_rows(self):
         problem, grid, plan = setup_case(built_in_field("identity"), "0", "0", 5)
-        system = assemble(problem, grid, plan)
+        system = assemble(problem, plan)
         inv_h2 = 25.0
         dense = system.matrix.toarray()
         center = grid.linear_index(2, 2)
@@ -90,7 +90,7 @@ class TestAssembleIdentity:
     def test_matches_hand_built_matrix_n3(self):
         # criterion-8-style oracle: the 4-unknown system written out by hand
         problem, grid, plan = setup_case(built_in_field("identity"), "0", "x", 3)
-        system = assemble(problem, grid, plan)
+        system = assemble(problem, plan)
         inv_h2 = 9.0
         expected = inv_h2 * np.array(
             [
@@ -113,8 +113,8 @@ class TestRowSumAndLinears:
         field = prep_exam1.problem.field
         problem = make_problem(field, "0", "1")
         grid = build_grid(21)
-        plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
-        system = assemble(problem, grid, plan)
+        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
+        system = assemble(problem, plan)
         ones = np.ones(system.dimension)
         residual = system.matrix @ ones - system.rhs
         scale = system.matrix.diagonal()
@@ -124,10 +124,10 @@ class TestRowSumAndLinears:
         field = field_from_expressions("c923", 9, 2, 3)
         problem = make_problem(field, "0", "0.5*x + 2*y - 0.25")
         table = ProbeTable(field, 1e-2)
-        constants = compute_constants(field, table=table)
+        constants = compute_constants(table)
         grid = build_grid(12)
-        plan = plan_grid(grid, field, constants, table)
-        system = assemble(problem, grid, plan)
+        plan = plan_grid(grid, table, constants)
+        system = assemble(problem, plan)
         u, report = solve(system)
         X, Y = grid.interior_coords()
         exact = 0.5 * X + 2 * Y - 0.25
@@ -137,7 +137,7 @@ class TestRowSumAndLinears:
 class TestAudit:
     def test_five_point_dominance_structure(self):
         problem, grid, plan = setup_case(built_in_field("identity"), "0", "0", 6)
-        system = assemble(problem, grid, plan)
+        system = assemble(problem, plan)
         audit = audit_m_matrix(system)
         assert audit.passed
         assert audit.max_offdiag <= 0.0
@@ -154,15 +154,15 @@ class TestAudit:
 
     def test_exam3_audit_passes(self, prep_exam3):
         grid = build_grid(51)
-        plan = plan_grid(grid, prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
-        system = assemble(prep_exam3.problem, grid, plan)
+        plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
+        system = assemble(prep_exam3.problem, plan)
         audit = audit_m_matrix(system)
         assert audit.passed
         assert audit.zpattern_violations == 0
 
     def test_positive_offdiagonal_counterexample(self):
         matrix = sp.csr_matrix(np.array([[2.0, 0.5], [-1.0, 2.0]]))
-        audit = audit_m_matrix(SparseSystem(2, matrix, np.zeros(2)))
+        audit = audit_m_matrix(SparseSystem(matrix, np.zeros(2)))
         assert not audit.passed
         assert audit.zpattern_violations == 1
         assert audit.max_offdiag == pytest.approx(0.5)
@@ -174,14 +174,14 @@ class TestAudit:
     ])
     def test_non_finite_values_fail(self, rows, rhs):
         # nan compares false, so the sign and dominance counts alone pass these
-        audit = audit_m_matrix(SparseSystem(2, sp.csr_matrix(np.array(rows)), np.array(rhs)))
+        audit = audit_m_matrix(SparseSystem(sp.csr_matrix(np.array(rows)), np.array(rhs)))
         assert (audit.zpattern_violations, audit.dominance_violations) == (0, 0)
         assert audit.nonfinite_values == 1
         assert not audit.passed
 
     def test_disconnected_graph_detected(self):
         matrix = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
-        audit = audit_m_matrix(SparseSystem(3, matrix, np.zeros(3)))
+        audit = audit_m_matrix(SparseSystem(matrix, np.zeros(3)))
         assert not audit.connected
         assert audit.n_components == 3
 
@@ -189,8 +189,8 @@ class TestAudit:
 class TestExport:
     def test_coordinate_format_roundtrip(self, prep_exam2, tmp_path):
         grid = build_grid(21)
-        plan = plan_grid(grid, prep_exam2.problem.field, prep_exam2.constants, prep_exam2.table)
-        system = assemble(prep_exam2.problem, grid, plan)
+        plan = plan_grid(grid, prep_exam2.table, prep_exam2.constants)
+        system = assemble(prep_exam2.problem, plan)
         mpath = tmp_path / "matrix.txt"
         rpath = tmp_path / "rhs.txt"
         export_matrix(system, mpath)
@@ -219,7 +219,7 @@ class TestPlanInconsistency:
         # the axis terms there have no plus slope, and the error names the node.
         grid = build_grid(11)
         field = prep_exam1.problem.field
-        plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
+        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
         X, Y = grid.interior_coords()
         half = 0.5 * grid.h
         b = np.stack([field.tensor_arrays(X + ox, Y + oy)[1]
@@ -228,7 +228,7 @@ class TestPlanInconsistency:
         plan.i1[idx] = 0
         j, k = grid.node_from_linear(idx)
         with pytest.raises(AssemblyError, match=rf"at node \(j={j}, k={k}\)") as info:
-            assemble(prep_exam1.problem, grid, plan)
+            assemble(prep_exam1.problem, plan)
         assert info.value.node == (j, k)
 
 
@@ -239,7 +239,7 @@ class TestAxisMidpoints:
         # only one that reads c, must use the same points.
         grid = build_grid(11)
         field = prep_exam1.problem.field
-        plan = plan_grid(grid, field, prep_exam1.constants, prep_exam1.table)
+        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
         seen = {"a": set(), "c": set()}
 
         def recording(name):
@@ -252,7 +252,7 @@ class TestAxisMidpoints:
             return read
 
         recorded = dataclasses.replace(field, a=recording("a"), c=recording("c"))
-        assemble(dataclasses.replace(prep_exam1.problem, field=recorded), grid, plan)
+        assemble(dataclasses.replace(prep_exam1.problem, field=recorded), plan)
         X, Y = grid.interior_coords()
         half = 0.5 * grid.h
         assert seen["a"] == set(zip(X - half, Y)) | set(zip(X + half, Y))
@@ -263,7 +263,7 @@ class TestBoundaryClipping:
     def test_clipped_arms_keep_monotone_structure(self, prep_exam4):
         # wide stencils near the boundary exercise the unequal-arm path
         grid = build_grid(21)
-        plan = plan_grid(grid, prep_exam4.problem.field, prep_exam4.constants, prep_exam4.table)
+        plan = plan_grid(grid, prep_exam4.table, prep_exam4.constants)
         assert plan.max_m >= 3  # guarantees clipped arms exist at this size
-        system = assemble(prep_exam4.problem, grid, plan)
+        system = assemble(prep_exam4.problem, plan)
         assert audit_m_matrix(system).passed

@@ -38,7 +38,7 @@ def plan_digest(plan) -> str:
 def plan_case(request, case):
     problem, n = case.rsplit("-N", 1)
     prep = request.getfixturevalue(PREPARED[problem])
-    return lambda: plan_grid(build_grid(int(n)), prep.problem.field, prep.constants, prep.table)
+    return lambda: plan_grid(build_grid(int(n)), prep.table, prep.constants)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
@@ -59,7 +59,7 @@ def test_plan_counters_match_seed_figures(prep_exam2, prep_exam4_k100):
     # exam4 k=100: the planning radius is below the probe step, so every
     # ball is empty and every node is planned on its edge midpoints.
     for prep, n, expected in ((prep_exam4_k100, 201, (40_000, 40_000)), (prep_exam2, 161, (0, 0))):
-        plan = plan_grid(build_grid(n), prep.problem.field, prep.constants, prep.table)
+        plan = plan_grid(build_grid(n), prep.table, prep.constants)
         assert (plan.fallback_nodes, plan.empty_balls) == expected
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import monofd
 
-from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, main, make_parser
+from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_PLANNING, EXIT_SOLVER, main, make_parser
 
 
 def run_cli(*argv):
@@ -77,11 +77,23 @@ class TestConfigHandling:
         cfg = tmp_path / "run.cfg"
         for text in ("problem exam1", "k=abc", "m=2.5", "tol=tight", "max_iter=1e3", "probe_step=fine",
                      "probe_step=nan", "probe_step=1e-7", "probe_step=1e-300", "tol=0", "tol=-1", "tol=nan",
-                     "force=on", "m=0", "m=1500000000", "m=3000000000"):
+                     "force=on", "m=0", "m=1500000000", "m=3000000000", "max_iter=0", "max_iter=-5"):
             cfg.write_text(f"problem=exam1\n{text}\n")
             code = run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
             assert code == EXIT_CONFIG, text
             assert capsys.readouterr().err.count("\n") == 1, text
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # the midpoint-augmented plus interval at (3, 1) is inverted
+        (("exam4", "--k", "100", "--n", "41"), EXIT_PLANNING, "planning failed at node (j=3, k=1)"),
+        # LU reaches about 2e-16, never 1e-30
+        (("exam3", "--n", "8", "--tol", "1e-30"), EXIT_SOLVER, "solver did not converge at N=8"),
+    ])
+    def test_failure_exit_codes(self, tmp_path, capsys, argv, code, message):
+        assert run_cli("solve", *argv, "--out", str(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert (tmp_path / "manifest.txt").is_file()
 
     @pytest.mark.parametrize("flag, value", [
         ("--probe-step", "nan"), ("--tol", "0"), ("--k", "abc"), ("--m", "3000000000"),

@@ -184,8 +184,8 @@ def test_clip_arms_lengths_at_large_half_width():
 def test_assemble_matches_per_node_assembly(request, prepared, n):
     prep = request.getfixturevalue(prepared)
     grid = build_grid(n)
-    plan = plan_grid(grid, prep.problem.field, prep.constants, prep.table)
-    system = assemble(prep.problem, grid, plan)
+    plan = plan_grid(grid, prep.table, prep.constants)
+    system = assemble(prep.problem, plan)
     matrix, rhs = assemble_reference(prep.problem, grid, plan)
     got = system.matrix
     assert np.array_equal(got.indptr, matrix.indptr) and np.array_equal(got.indices, matrix.indices)

@@ -53,16 +53,16 @@ class TestValidateSpd:
 
     def test_exam1_minimum_determinant(self):
         # 27 - 16 sin^2 attains its minimum 11 exactly on the probe lattice
-        constants = compute_constants(built_in_field("exam1"), 1e-2)
+        constants = compute_constants(ProbeTable(built_in_field("exam1"), 1e-2))
         assert constants.alpha_bar == pytest.approx(11.0, abs=1e-12)
 
     def test_indefinite_rejected(self):
         # det = 1 > 0, but a and c are negative: negative definite
         with pytest.raises(FieldValidationError):
-            compute_constants(constant_field(-1, 0, -1), 0.25)
+            compute_constants(ProbeTable(constant_field(-1, 0, -1), 0.25))
 
     def test_exam4_determinant_is_k(self):
-        constants = compute_constants(built_in_field("exam4", k=100), 1e-2)
+        constants = compute_constants(ProbeTable(built_in_field("exam4", k=100), 1e-2))
         assert constants.alpha_bar == pytest.approx(100.0, rel=1e-12)
 
 
@@ -95,7 +95,7 @@ class TestComputeConstants:
         assert constants.radius > 0.0
 
     def test_identity_constant_field(self, identity_setup):
-        _, constants, _ = identity_setup
+        _, constants = identity_setup
         assert constants.alpha_bar == pytest.approx(1.0)
         assert constants.alpha == pytest.approx(1.0)
         assert constants.lip_g == 0.0
@@ -110,16 +110,16 @@ class TestComputeConstants:
 
     def test_rejects_indefinite_field(self):
         with pytest.raises(FieldValidationError):
-            compute_constants(constant_field(1, 2, 1), 0.05)
+            compute_constants(ProbeTable(constant_field(1, 2, 1), 0.05))
         # 0/0 gives NaN and 1/0 gives inf at x = 0
         for a in ("x/x + 1", "1/x"):
             with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(FieldValidationError):
-                compute_constants(field_from_expressions("nonfinite", a, "0", "1"), 1e-2)
+                compute_constants(ProbeTable(field_from_expressions("nonfinite", a, "0", "1"), 1e-2))
 
     def test_refinement_monotonicity(self):
         field = built_in_field("exam3")
-        coarse = compute_constants(field, 1 / 100)
-        fine = compute_constants(field, 1 / 200)
+        coarse = compute_constants(ProbeTable(field, 1 / 100))
+        fine = compute_constants(ProbeTable(field, 1 / 200))
         assert fine.alpha_bar <= coarse.alpha_bar + 1e-15
         assert fine.alpha >= coarse.alpha - 1e-15
 

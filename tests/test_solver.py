@@ -19,15 +19,15 @@ def identity_problem(f, g):
 def small_system():
     matrix = sp.csr_matrix(np.array([[4.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 4.0]]))
     rhs = np.array([1.0, 2.0, 3.0])
-    return SparseSystem(3, matrix, rhs)
+    return SparseSystem(matrix, rhs)
 
 
 def test_single_unknown_solves_in_one_step():
     field = built_in_field("identity")
     table = ProbeTable(field, 0.25)
-    constants = compute_constants(field, table=table)
+    constants = compute_constants(table)
     grid = build_grid(2)
-    system = assemble(identity_problem("0", "x"), grid, plan_grid(grid, field, constants, table))
+    system = assemble(identity_problem("0", "x"), plan_grid(grid, table, constants))
     u, report = solve(system)
     assert u == pytest.approx([0.5])
     assert report.converged
@@ -36,7 +36,7 @@ def test_single_unknown_solves_in_one_step():
 
 def test_diagonal_system_exact():
     matrix = sp.csr_matrix(np.diag([2.0, 4.0, 8.0]))
-    system = SparseSystem(3, matrix, np.array([2.0, 2.0, 2.0]))
+    system = SparseSystem(matrix, np.array([2.0, 2.0, 2.0]))
     u, report = solve(system)
     assert u == pytest.approx([1.0, 0.5, 0.25])
     assert report.final_relative_residual <= 1e-15
@@ -62,7 +62,7 @@ def test_residual_unit_perturbation_is_column_norm():
 
 def test_zero_rhs_uses_absolute_norm():
     matrix = sp.csr_matrix(np.eye(2))
-    system = SparseSystem(2, matrix, np.zeros(2))
+    system = SparseSystem(matrix, np.zeros(2))
     assert residual(system, np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
@@ -83,11 +83,11 @@ def test_inverse_positivity_observed():
     # f >= 0 and g >= 0 imply a nonnegative solution for an M-matrix system
     field = built_in_field("exam1")
     table = ProbeTable(field, 1e-3)
-    constants = compute_constants(field, table=table)
+    constants = compute_constants(table)
     grid = build_grid(15)
-    plan = plan_grid(grid, field, constants, table)
+    plan = plan_grid(grid, table, constants)
     problem = Problem("pos", field, parse_expression("1"), parse_expression("x*y"))
-    system = assemble(problem, grid, plan)
+    system = assemble(problem, plan)
     u, report = solve(system)
     assert report.converged
     assert u.min() >= -1e-10 * np.linalg.norm(system.rhs)
@@ -104,8 +104,8 @@ def test_krylov_branch_agrees_with_lu(prep_exam3):
     # The ILU-BiCGStab branch runs only past the direct-solve limit in
     # production; called directly here on a small exam3 system.
     grid = build_grid(31)
-    plan = plan_grid(grid, prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
-    system = assemble(prep_exam3.problem, grid, plan)
+    plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
+    system = assemble(prep_exam3.problem, plan)
     u_krylov, report = _solve_krylov(system, 1e-10, 10 * system.dimension)
     u_direct, _ = _solve_direct(system, 1e-10)
     assert report.converged and report.method_name == "ilu-bicgstab"

@@ -54,8 +54,7 @@ class TestPrincipalDirections:
     def test_invalid_m(self, prep_exam1):
         for fixed_m in (0, MAX_HALF_WIDTH + 1):
             with pytest.raises(PlanningError):
-                plan_grid(build_grid(5), prep_exam1.problem.field, prep_exam1.constants,
-                          prep_exam1.table, fixed_m=fixed_m)
+                plan_grid(build_grid(5), prep_exam1.table, prep_exam1.constants, fixed_m=fixed_m)
 
 
 class TestUpperBound:
@@ -162,51 +161,51 @@ class TestClipArm:
 
 class TestMeshCondition:
     def test_arithmetic_pass(self, identity_setup):
-        field, constants, table = identity_setup
+        table, constants = identity_setup
         grid = build_grid(100)
-        plan = plan_grid(grid, field, constants, table)
+        plan = plan_grid(grid, table, constants)
         from dataclasses import replace
 
         fake = replace(constants, radius=0.05)
         plan.m[:] = 2
-        res = check_mesh_condition(grid, plan, fake)
+        res = check_mesh_condition(replace(plan, constants=fake))
         assert res.passed and res.lhs == pytest.approx(0.0283, abs=1e-4)
 
     def test_arithmetic_fail(self, identity_setup):
-        field, constants, table = identity_setup
+        table, constants = identity_setup
         grid = build_grid(4)
-        plan = plan_grid(grid, field, constants, table)
+        plan = plan_grid(grid, table, constants)
         from dataclasses import replace
 
         plan.m[:] = 2
-        res = check_mesh_condition(grid, plan, replace(constants, radius=0.05))
+        res = check_mesh_condition(replace(plan, constants=replace(constants, radius=0.05)))
         assert not res.passed
 
     def test_constant_field_always_passes(self, identity_setup):
-        field, constants, table = identity_setup
+        table, constants = identity_setup
         for n in (2, 5, 17):
             grid = build_grid(n)
-            plan = plan_grid(grid, field, constants, table)
+            plan = plan_grid(grid, table, constants)
             assert plan.max_m == 1
-            assert check_mesh_condition(grid, plan, constants).passed
+            assert check_mesh_condition(plan).passed
 
 
 class TestPlanGrid:
     def test_exam1_five_by_five_suffices(self, prep_exam1):
         grid = build_grid(101)
-        plan = plan_grid(grid, prep_exam1.problem.field, prep_exam1.constants, prep_exam1.table)
+        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
         assert plan.max_m == 2
         hist = plan.m_histogram()
         assert set(hist) == {1, 2}
 
     def test_identity_plans_axes_only(self, identity_setup):
-        field, constants, table = identity_setup
-        plan = plan_grid(build_grid(9), field, constants, table)
+        table, constants = identity_setup
+        plan = plan_grid(build_grid(9), table, constants)
         assert plan.max_m == 1
         assert not plan.i1.any() and not plan.i2.any()
 
     def test_exam3_all_diagonal(self, prep_exam3):
-        plan = plan_grid(build_grid(51), prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
+        plan = plan_grid(build_grid(51), prep_exam3.table, prep_exam3.constants)
         assert plan.m_histogram() == {1: 2500}
         # where a sign part exists the chosen slope is the diagonal
         assert set(np.unique(plan.tan1[~np.isnan(plan.tan1)])) == {1.0}
@@ -218,12 +217,12 @@ class TestPlanGrid:
         from monofd.field import ProbeTable, compute_constants
 
         table = ProbeTable(field, 1e-3)
-        constants = compute_constants(field, table=table)
-        plan = plan_grid(build_grid(21), field, constants, table)
+        constants = compute_constants(table)
+        plan = plan_grid(build_grid(21), table, constants)
         assert plan.m_histogram() == {1: 400}
 
     def test_planned_slopes_inside_intervals(self, prep_exam4):
-        plan = plan_grid(build_grid(31), prep_exam4.problem.field, prep_exam4.constants, prep_exam4.table)
+        plan = plan_grid(build_grid(31), prep_exam4.table, prep_exam4.constants)
         active1 = plan.i1 != 0
         assert np.all(plan.tan1[active1] > plan.a_sup[active1])
         assert np.all(plan.tan1[active1] < plan.b_inf[active1])
@@ -232,21 +231,20 @@ class TestPlanGrid:
         assert np.all(plan.tan2[active2] < plan.d_inf[active2])
 
     def test_m1_plans_use_diagonals_when_b_present(self, prep_exam3):
-        plan = plan_grid(build_grid(21), prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
+        plan = plan_grid(build_grid(21), prep_exam3.table, prep_exam3.constants)
         ones = plan.m == 1
         assert np.all((plan.i1[ones] == 1) | (plan.i1[ones] == 0))
         assert np.all((plan.i2[ones] == -1) | (plan.i2[ones] == 0))
 
     def test_fixed_m_respected(self, prep_exam1):
-        plan = plan_grid(build_grid(15), prep_exam1.problem.field, prep_exam1.constants,
-                         prep_exam1.table, fixed_m=2)
+        plan = plan_grid(build_grid(15), prep_exam1.table, prep_exam1.constants, fixed_m=2)
         assert plan.m_histogram() == {2: 196}
 
     def test_node_plan_materialization(self, prep_exam1):
         # each dump line restates the node's plan and counts the arms of its
         # planned directions that clip_arm shortens at the boundary
         grid = build_grid(15)
-        plan = plan_grid(grid, prep_exam1.problem.field, prep_exam1.constants, prep_exam1.table)
+        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
         stream = io.StringIO()
         plan.dump(stream)
         rows = [line.split() for line in stream.getvalue().splitlines()[1:]]
@@ -266,7 +264,7 @@ class TestPlanGrid:
 
     def test_dump_format(self, prep_exam3, tmp_path):
         grid = build_grid(5)
-        plan = plan_grid(grid, prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
+        plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
         path = tmp_path / "plan.txt"
         with open(path, "w") as fh:
             plan.dump(fh)

@@ -149,10 +149,10 @@ class TestSignPattern:
         from monofd.errors import AssemblyError
 
         grid = build_grid(11)
-        plan = plan_grid(grid, prep_exam3.problem.field, prep_exam3.constants, prep_exam3.table)
+        plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
         plan.i1[:] = -1  # slope -1, outside (sup b/a, inf c/b)
         with pytest.raises(AssemblyError):
-            assemble(prep_exam3.problem, grid, plan)
+            assemble(prep_exam3.problem, plan)
 
 
 class TestOutputs:
