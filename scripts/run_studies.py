@@ -40,7 +40,7 @@ def main() -> int:
 
     t0 = time.time()
     prep1 = prepare(built_in_problem("exam1"), args.probe_step)
-    c = prep1.constants
+    c = prep1.table.constants
     print(f"exam1 constants: alpha_bar={c.alpha_bar:.6g} alpha={c.alpha:.6g} "
           f"radius={c.radius:.4g} bound={stencil_upper_bound(c)}")
 

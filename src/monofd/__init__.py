@@ -26,7 +26,6 @@ from .field import (
     DiffusionField,
     ProbeTable,
     SplittingConstants,
-    built_in_field,
     compute_constants,
 )
 from .grid import Grid, build_grid

@@ -1,7 +1,8 @@
 """Command-line front end: plan, solve, dmp, converge, export.
 
 Runs are driven by a built-in problem name (exam1..exam4) or inline
-coefficient expressions, optionally loaded from a flat key=value config file.
+coefficient expressions, optionally loaded from a flat key=value config file;
+both reach ``problems.problem_from_expressions``.
 Each run option is one entry of ``_OPTIONS`` (config key, RunConfig field,
 parser, flag help); its flag wins over its config entry, and both go through
 the same parser, which checks the value's range.  ``main`` builds and
@@ -9,8 +10,9 @@ prepares the problem once and passes it to the command.  Every run writes a
 manifest with the resolved configuration, the field constants, plan
 summaries, and library versions.
 
-Exit codes: 0 success, 2 config error (a value out of range and a tensor
-field that is not finite and positive definite included), 3 planning
+Exit codes: 0 success, 2 config error (a value out of range, an unreadable
+config file, an output directory that cannot be created and a tensor field
+that is not finite and positive definite included), 3 planning
 failure, 4 audit failure (an assembly error, a negative or undefined
 coefficient at some node, included), 5 solver non-convergence.
 """
@@ -38,16 +40,13 @@ from .errors import (
     PlanningError,
     SolverError,
 )
-from .expressions import parse_expression
-from .field import field_from_expressions
 from .grid import build_grid
-from .problems import BUILT_IN_PROBLEMS, built_in_problem
+from .problems import BUILT_IN_PROBLEMS, built_in_problem, problem_from_expressions
 from .stencil import MAX_HALF_WIDTH, check_mesh_condition, plan_grid, stencil_upper_bound
 from .verification import (
     Prepared,
     convergence_study,
     dmp_row,
-    manufactured_problem,
     prepare,
     run_case,
     sign_pattern_summary,
@@ -103,11 +102,11 @@ def _parse_iteration_cap(text: str) -> int:
     return cap
 
 
-def _parse_tolerance(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol > 0.0):
+def _parse_positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
         raise ValueError("must be finite and > 0")
-    return tol
+    return value
 
 
 def _parse_switch(text: str) -> bool:
@@ -122,9 +121,9 @@ def _parse_switch(text: str) -> bool:
 # manifest's config line lists the fields in this order.
 _OPTIONS = {
     "n": ("n", _parse_n_list, "comma-separated grid sizes (intervals per side)"),
-    "k": ("k", float, "anisotropy ratio for exam4"),
+    "k": ("k", _parse_positive, "anisotropy ratio for exam4"),
     "m": ("fixed_m", _parse_half_width, "fixed stencil half-width instead of auto selection"),
-    "tol": ("tol", _parse_tolerance, "solver relative-residual tolerance"),
+    "tol": ("tol", _parse_positive, "solver relative-residual tolerance"),
     "max_iter": ("max_iter", _parse_iteration_cap, "solver iteration cap"),
     "probe_step": ("probe_step", float, "field sampling pitch"),
     "out": ("out", Path, "output directory (default ./out)"),
@@ -134,8 +133,14 @@ _OPTIONS = {
 
 def load_config_file(path: Path) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments ignored."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text (byte {exc.start})") from exc
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -175,30 +180,12 @@ def build_problem(cfg: RunConfig) -> Problem:
     if cfg.problem:
         if cfg.inline:
             raise ConfigError("give either a built-in problem name or inline expressions, not both")
-        if cfg.problem not in BUILT_IN_PROBLEMS:
-            raise ConfigError(f"unknown problem {cfg.problem!r}; choices: {BUILT_IN_PROBLEMS}")
         return built_in_problem(cfg.problem, k=cfg.k)
     missing = [key for key in ("a", "b", "c") if key not in cfg.inline]
     if missing:
         raise ConfigError(f"inline problem needs tensor entries a, b, c (missing {missing})")
-    field = field_from_expressions("custom", cfg.inline["a"], cfg.inline["b"], cfg.inline["c"])
-    has_f = "f" in cfg.inline
-    has_exact = "exact_u" in cfg.inline
-    if has_f == has_exact:
-        raise ConfigError("give exactly one of f or exact_u")
-    if has_exact:
-        problem = manufactured_problem(field, cfg.inline["exact_u"], name="custom")
-        if "g" in cfg.inline:
-            raise ConfigError("g is derived from exact_u; do not give both")
-        return problem
-    if "g" not in cfg.inline:
-        raise ConfigError("inline problem with f needs boundary data g")
-    return Problem(
-        name="custom",
-        field=field,
-        f=parse_expression(cfg.inline["f"]),
-        g=parse_expression(cfg.inline["g"]),
-    )
+    inline = dict(cfg.inline)
+    return problem_from_expressions("custom", [inline.pop(key) for key in ("a", "b", "c")], **inline)
 
 
 class Reporter:
@@ -206,7 +193,10 @@ class Reporter:
 
     def __init__(self, cfg: RunConfig, command: str, argv: list[str]):
         self.lines: list[str] = []
-        cfg.out.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{cfg.out}: cannot create output directory ({exc.strerror})") from exc
         self.path = cfg.out / "manifest.txt"
         self.emit(f"command: {command}")
         self.emit(f"argv: {' '.join(argv)}")
@@ -226,7 +216,7 @@ class Reporter:
 
 
 def _describe_constants(rep: Reporter, prepared: Prepared) -> None:
-    c = prepared.constants
+    c = prepared.table.constants
     rep.emit(
         f"constants: alpha_bar={c.alpha_bar:.6g} alpha={c.alpha:.6g} "
         f"cap_m={c.cap_m:.6g} radius={c.radius:.6g}"
@@ -261,7 +251,7 @@ def _describe_plan(rep: Reporter, name: str, n: int, plan, mesh) -> None:
 
 def _plan(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
     """Plan the N=n grid and report the plan."""
-    plan = plan_grid(build_grid(n), prepared.table, prepared.constants, fixed_m=cfg.fixed_m)
+    plan = plan_grid(build_grid(n), prepared.table, fixed_m=cfg.fixed_m)
     _describe_plan(rep, prepared.problem.name, n, plan, check_mesh_condition(plan))
     return plan
 

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FieldValidationError
-from .expressions import Expression, const, cos, parse_expression, sin, var
+from .expressions import Expression, const, parse_expression
 from .splitting import SLOPE_REDUCTIONS, masked_ratios, slope_ratios
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "SplittingConstants",
     "ProbeTable",
     "compute_constants",
-    "built_in_field",
-    "BUILT_IN_FIELDS",
     "field_from_expressions",
 ]
 
@@ -93,10 +91,13 @@ def _lattice(probe_step: float) -> np.ndarray:
 
 
 class ProbeTable:
-    """Dense lattice samples of the tensor entries and planning ratios.
+    """Dense lattice samples of the tensor entries and planning ratios, and
+    the field's planning ``constants`` computed from them.
 
     Axis 0 indexes y, axis 1 indexes x.  The planner slices rectangular
     windows out of these arrays, so everything is precomputed once per field.
+    Raises FieldValidationError unless the field is finite and uniformly
+    positive definite on the lattice.
     """
 
     def __init__(self, field: DiffusionField, probe_step: float = 1e-3):
@@ -111,6 +112,8 @@ class ProbeTable:
             self.a, self.b, self.c = field.tensor_arrays(X, Y)
             self.det = self.a * self.c - self.b**2
         self.ratio_g, self.ratio_f = slope_ratios(self.a, self.b, self.c)
+        del X, Y  # kept alive through compute_constants, they made prepare slower
+        self.constants = compute_constants(self)
 
     def window_intervals(self, x0: float, y0: float, radius: float):
         """Raw (A, B, C, D) over lattice points strictly inside the ball.
@@ -247,45 +250,3 @@ def field_from_expressions(name: str, a, b, c) -> DiffusionField:
 
     return DiffusionField(name, as_expr(a), as_expr(b), as_expr(c))
 
-
-def _exam1_field() -> DiffusionField:
-    x, y = var("x"), var("y")
-    b = 4.0 * sin(2.0 * const(math.pi) * x * y)
-    return DiffusionField("exam1", const(9.0), b, const(3.0))
-
-
-def _exam3_field() -> DiffusionField:
-    x, y = var("x"), var("y")
-    b = sin(2.0 * const(math.pi) * x * y)
-    return DiffusionField("exam3", const(1.1), b, const(1.1))
-
-
-def _exam4_field(k: float) -> DiffusionField:
-    # Rotation of diag(k, 1) by the angle pi*sin(x)*cos(y).
-    x, y = var("x"), var("y")
-    theta = const(math.pi) * sin(x) * cos(y)
-    ct, st = cos(theta), sin(theta)
-    a = const(k) * ct * ct + st * st
-    b = const(k - 1.0) * st * ct
-    c = const(k) * st * st + ct * ct
-    return DiffusionField(f"exam4-k{k:g}", a, b, c)
-
-
-def _identity_field() -> DiffusionField:
-    return DiffusionField("identity", const(1.0), const(0.0), const(1.0))
-
-
-BUILT_IN_FIELDS = ("exam1", "exam3", "exam4", "identity")
-
-
-def built_in_field(name: str, k: float = 10.0) -> DiffusionField:
-    """Registry of named tensor fields; exam4 takes the anisotropy ratio k."""
-    if name == "exam1":
-        return _exam1_field()
-    if name == "exam3":
-        return _exam3_field()
-    if name == "exam4":
-        return _exam4_field(float(k))
-    if name == "identity":
-        return _identity_field()
-    raise ConfigError(f"unknown built-in field {name!r}; choices: {BUILT_IN_FIELDS}")

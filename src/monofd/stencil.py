@@ -364,24 +364,24 @@ class _SpecialPoints:
         return (gamma >= 0.0).all(axis=0)
 
 
-def plan_grid(grid: Grid, table: ProbeTable, constants: SplittingConstants, fixed_m: int | None = None) -> GridPlan:
+def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> GridPlan:
     """Plan every interior node of the grid for the field of ``table``.
 
-    Selection runs over the ball intervals (which do not depend on the mesh
-    spacing), with the ``DEFAULT_SAFETY`` margin and half-widths up to
-    ``stencil_upper_bound(constants)``; the chosen angles are then checked
+    Selection runs over the ball intervals (radius ``table.constants.radius``,
+    independent of the mesh spacing) with the ``DEFAULT_SAFETY`` margin and
+    half-widths up to ``stencil_upper_bound``; the chosen angles are checked
     for sign safety at the 4 axis-edge midpoints the assembler will use.
     Unsafe nodes are replanned over the midpoint-augmented intervals, which
     makes safety structural at the cost of a possibly larger m there.
     Raises PlanningError naming the first node whose intervals admit no
     direction pair under the cap.
     """
-    m_cap = stencil_upper_bound(constants)
+    m_cap = stencil_upper_bound(table.constants)
     if fixed_m is not None and not 1 <= fixed_m <= MAX_HALF_WIDTH:
         raise PlanningError(f"fixed stencil half-width must lie in [1, {MAX_HALF_WIDTH}], got {fixed_m}")
     X, Y = grid.interior_coords()
     specials = _SpecialPoints(table.field, grid)
-    bounds, empty = table.ball_bounds(X, Y, constants.radius)
+    bounds, empty = table.ball_bounds(X, Y, table.constants.radius)
     m, i1, i2 = _select(bounds, m_cap, DEFAULT_SAFETY, fixed_m)
     every = np.arange(X.size)
     fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, m, i1, i2))
@@ -414,7 +414,7 @@ def plan_grid(grid: Grid, table: ProbeTable, constants: SplittingConstants, fixe
 
     return GridPlan(
         grid=grid,
-        constants=constants,
+        constants=table.constants,
         m=m,
         i1=i1,
         i2=i2,

@@ -1,6 +1,6 @@
 """Verification studies: extrema tables, sign-pattern audits, convergence order.
 
-A ``Prepared`` bundle caches the field constants and probe table so a study
+A ``Prepared`` bundle caches the probe table, constants included, so a study
 over several grid sizes samples the coefficient field only once.  Individual
 cases run plan -> assemble -> audit -> solve and propagate failures per case.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from .assembly import MatrixAudit, Problem, SparseSystem, assemble, audit_m_matrix
 from .errors import AuditError, ConfigError, SolverError
 from .expressions import Expression, parse_expression
-from .field import DiffusionField, ProbeTable, SplittingConstants, compute_constants
+from .field import DiffusionField, ProbeTable
 from .grid import Grid, build_grid
 from .solver import SolveReport, solve
 from .stencil import GridPlan, MeshCondition, check_mesh_condition, plan_grid
@@ -79,7 +79,6 @@ class SignPatternSummary:
 @dataclass(frozen=True)
 class Prepared:
     problem: Problem
-    constants: SplittingConstants
     table: ProbeTable
 
 
@@ -99,9 +98,7 @@ class CaseResult:
 
 def prepare(problem: Problem, probe_step: float = 1e-3) -> Prepared:
     """Validate the field and cache its probe table and planning constants."""
-    table = ProbeTable(problem.field, probe_step)
-    constants = compute_constants(table)
-    return Prepared(problem, constants, table)
+    return Prepared(problem, ProbeTable(problem.field, probe_step))
 
 
 def run_case(
@@ -114,7 +111,7 @@ def run_case(
     require_convergence: bool = True,
 ) -> CaseResult:
     """Plan, assemble, audit, and solve one grid size."""
-    plan = plan_grid(build_grid(n), prepared.table, prepared.constants, fixed_m=fixed_m)
+    plan = plan_grid(build_grid(n), prepared.table, fixed_m=fixed_m)
     mesh = check_mesh_condition(plan)
     system = assemble(prepared.problem, plan)
     audit = audit_m_matrix(system)
@@ -209,8 +206,9 @@ def convergence_study(prepared: Prepared, n_list, **case_kwargs):
     """Interior max-norm errors against the exact solution, plus a fitted slope.
 
     The per-row observed order is the error-log ratio normalized by the step
-    ratio; the returned slope is a least-squares fit of log(error) against
-    log(h) over all rows, which tolerates a pre-asymptotic first row.
+    ratio, None when either error is 0; the returned slope is a least-squares
+    fit of log(error) against log(h) over the rows with a positive error
+    (nan if fewer than two), which tolerates a pre-asymptotic first row.
     """
     problem = prepared.problem
     if problem.exact_u is None:
@@ -227,13 +225,14 @@ def convergence_study(prepared: Prepared, n_list, **case_kwargs):
         exact = np.asarray(problem.exact_u(X, Y), dtype=float)
         err = float(np.abs(case.solution - exact).max())
         order = None
-        if rows:
-            prev = rows[-1]
+        prev = rows[-1] if rows else None
+        if prev is not None and prev.max_error > 0.0 and err > 0.0:
             order = math.log(prev.max_error / err) / math.log(prev.h / grid.h)
         rows.append(ConvergenceRow(n=n, h=grid.h, max_error=err, observed_order=order))
-    hs = np.log([r.h for r in rows])
-    errs = np.log([r.max_error for r in rows])
-    slope = float(np.polyfit(hs, errs, 1)[0]) if len(rows) >= 2 else float("nan")
+    fitted = [r for r in rows if r.max_error > 0.0]
+    hs = np.log([r.h for r in fitted])
+    errs = np.log([r.max_error for r in fitted])
+    slope = float(np.polyfit(hs, errs, 1)[0]) if len(fitted) >= 2 else float("nan")
     return rows, slope
 
 

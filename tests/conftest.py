@@ -1,6 +1,6 @@
 import pytest
 
-from monofd.field import ProbeTable, built_in_field, compute_constants
+from monofd.field import DiffusionField, ProbeTable, field_from_expressions
 from monofd.problems import built_in_problem
 from monofd.verification import Prepared, prepare
 
@@ -30,12 +30,16 @@ def prep_exam4_k100() -> Prepared:
     return prepare(built_in_problem("exam4", k=100.0))
 
 
+def identity_field() -> DiffusionField:
+    """The identity tensor field, a = c = 1 and b = 0."""
+    return field_from_expressions("identity", "1", "0", "1")
+
+
 @pytest.fixture(scope="session")
 def exam1_constants(prep_exam1):
-    return prep_exam1.constants
+    return prep_exam1.table.constants
 
 
 @pytest.fixture(scope="session")
-def identity_setup():
-    table = ProbeTable(built_in_field("identity"), 1e-2)
-    return table, compute_constants(table)
+def identity_table() -> ProbeTable:
+    return ProbeTable(identity_field(), 1e-2)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from monofd.field import built_in_field, compute_constants, ProbeTable
+from monofd.field import ProbeTable
 from monofd.grid import build_grid
 from monofd.splitting import split_values
 from monofd.solver import solve
@@ -30,6 +30,8 @@ from monofd.verification import (
 )
 from monofd.assembly import Problem, assemble
 from monofd.expressions import parse_expression
+
+from conftest import identity_field
 
 # Reference extrema, keyed by interval count (rows labeled 21/51/101).
 REFERENCE_EXTREMA = {
@@ -63,12 +65,12 @@ def test_criterion_1_extrema_table(prep_exam1):
 
 
 def test_criterion_2_exam1_constants(prep_exam1):
-    constants = prep_exam1.constants
+    constants = prep_exam1.table.constants
     assert abs(constants.alpha_bar - 11.0) <= 0.6
     assert abs(constants.alpha - 45.0) <= 2.3
     bound = stencil_upper_bound(constants)
     assert bound == 13
-    plan = plan_grid(build_grid(101), prep_exam1.table, constants)
+    plan = plan_grid(build_grid(101), prep_exam1.table)
     assert plan.max_m == 2
     print(f"criterion 2: PASS - alpha_bar={constants.alpha_bar:.6g}, alpha={constants.alpha:.6g}, "
           f"bound={bound}, achieved max m={plan.max_m} (5x5 stencils suffice)")
@@ -150,9 +152,9 @@ def test_criterion_6_splitting_identity(prep_exam1, prep_exam3, prep_exam4):
     for prepared in (prep_exam1, prep_exam3, prep_exam4):
         field = prepared.problem.field
         grid = build_grid(81)
-        plan = plan_grid(grid, prepared.table, prepared.constants)
+        plan = plan_grid(grid, prepared.table)
         X, Y = grid.interior_coords()
-        radius = prepared.constants.radius
+        radius = prepared.table.constants.radius
         tan1s, tan2s = plan.tan1, plan.tan2
         worst_gamma = np.inf
         worst_rec = 0.0
@@ -209,19 +211,18 @@ def test_criterion_7_anisotropy_scaling(prep_exam4, prep_exam4_k100):
 
 
 def test_criterion_8_small_instance_oracles():
-    field = built_in_field("identity")
+    field = identity_field()
     table = ProbeTable(field, 0.25)
-    constants = compute_constants(table)
     problem = Problem("plane", field, parse_expression("0"), parse_expression("x"))
 
     grid2 = build_grid(2)
-    system2 = assemble(problem, plan_grid(grid2, table, constants))
+    system2 = assemble(problem, plan_grid(grid2, table))
     assert system2.matrix.toarray()[0, 0] == pytest.approx(16.0)
     u2, _ = solve(system2)
     assert u2 == pytest.approx([0.5], abs=1e-12)  # mean of the boundary data
 
     grid3 = build_grid(3)
-    system3 = assemble(problem, plan_grid(grid3, table, constants))
+    system3 = assemble(problem, plan_grid(grid3, table))
     hand = 9.0 * np.array(
         [
             [4.0, -1.0, -1.0, 0.0],

@@ -15,10 +15,12 @@ from monofd.assembly import (
 )
 from monofd.errors import AssemblyError
 from monofd.expressions import parse_expression
-from monofd.field import ProbeTable, built_in_field, compute_constants, field_from_expressions
+from monofd.field import ProbeTable, field_from_expressions
 from monofd.grid import build_grid
 from monofd.stencil import plan_grid
 from monofd.solver import solve
+
+from conftest import identity_field
 
 
 def make_problem(field, f, g, exact=None, name="test"):
@@ -29,9 +31,8 @@ def make_problem(field, f, g, exact=None, name="test"):
 def setup_case(field, f, g, n, probe=1e-2):
     problem = make_problem(field, f, g)
     table = ProbeTable(field, probe)
-    constants = compute_constants(table)
     grid = build_grid(n)
-    plan = plan_grid(grid, table, constants)
+    plan = plan_grid(grid, table)
     return problem, grid, plan
 
 
@@ -66,7 +67,7 @@ class TestDirectionalTermRow:
 
 class TestAssembleIdentity:
     def test_single_unknown_mean_value(self):
-        problem, grid, plan = setup_case(built_in_field("identity"), "0", "x", 2)
+        problem, grid, plan = setup_case(identity_field(), "0", "x", 2)
         system = assemble(problem, plan)
         assert system.dimension == 1
         assert system.matrix.toarray()[0, 0] == pytest.approx(16.0)
@@ -75,7 +76,7 @@ class TestAssembleIdentity:
         assert u == pytest.approx([0.5])
 
     def test_five_point_laplacian_rows(self):
-        problem, grid, plan = setup_case(built_in_field("identity"), "0", "0", 5)
+        problem, grid, plan = setup_case(identity_field(), "0", "0", 5)
         system = assemble(problem, plan)
         inv_h2 = 25.0
         dense = system.matrix.toarray()
@@ -89,7 +90,7 @@ class TestAssembleIdentity:
 
     def test_matches_hand_built_matrix_n3(self):
         # criterion-8-style oracle: the 4-unknown system written out by hand
-        problem, grid, plan = setup_case(built_in_field("identity"), "0", "x", 3)
+        problem, grid, plan = setup_case(identity_field(), "0", "x", 3)
         system = assemble(problem, plan)
         inv_h2 = 9.0
         expected = inv_h2 * np.array(
@@ -113,7 +114,7 @@ class TestRowSumAndLinears:
         field = prep_exam1.problem.field
         problem = make_problem(field, "0", "1")
         grid = build_grid(21)
-        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
+        plan = plan_grid(grid, prep_exam1.table)
         system = assemble(problem, plan)
         ones = np.ones(system.dimension)
         residual = system.matrix @ ones - system.rhs
@@ -124,9 +125,8 @@ class TestRowSumAndLinears:
         field = field_from_expressions("c923", 9, 2, 3)
         problem = make_problem(field, "0", "0.5*x + 2*y - 0.25")
         table = ProbeTable(field, 1e-2)
-        constants = compute_constants(table)
         grid = build_grid(12)
-        plan = plan_grid(grid, table, constants)
+        plan = plan_grid(grid, table)
         system = assemble(problem, plan)
         u, report = solve(system)
         X, Y = grid.interior_coords()
@@ -136,7 +136,7 @@ class TestRowSumAndLinears:
 
 class TestAudit:
     def test_five_point_dominance_structure(self):
-        problem, grid, plan = setup_case(built_in_field("identity"), "0", "0", 6)
+        problem, grid, plan = setup_case(identity_field(), "0", "0", 6)
         system = assemble(problem, plan)
         audit = audit_m_matrix(system)
         assert audit.passed
@@ -154,7 +154,7 @@ class TestAudit:
 
     def test_exam3_audit_passes(self, prep_exam3):
         grid = build_grid(51)
-        plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
+        plan = plan_grid(grid, prep_exam3.table)
         system = assemble(prep_exam3.problem, plan)
         audit = audit_m_matrix(system)
         assert audit.passed
@@ -189,7 +189,7 @@ class TestAudit:
 class TestExport:
     def test_coordinate_format_roundtrip(self, prep_exam2, tmp_path):
         grid = build_grid(21)
-        plan = plan_grid(grid, prep_exam2.table, prep_exam2.constants)
+        plan = plan_grid(grid, prep_exam2.table)
         system = assemble(prep_exam2.problem, plan)
         mpath = tmp_path / "matrix.txt"
         rpath = tmp_path / "rhs.txt"
@@ -219,7 +219,7 @@ class TestPlanInconsistency:
         # the axis terms there have no plus slope, and the error names the node.
         grid = build_grid(11)
         field = prep_exam1.problem.field
-        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
+        plan = plan_grid(grid, prep_exam1.table)
         X, Y = grid.interior_coords()
         half = 0.5 * grid.h
         b = np.stack([field.tensor_arrays(X + ox, Y + oy)[1]
@@ -239,7 +239,7 @@ class TestAxisMidpoints:
         # only one that reads c, must use the same points.
         grid = build_grid(11)
         field = prep_exam1.problem.field
-        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
+        plan = plan_grid(grid, prep_exam1.table)
         seen = {"a": set(), "c": set()}
 
         def recording(name):
@@ -263,7 +263,7 @@ class TestBoundaryClipping:
     def test_clipped_arms_keep_monotone_structure(self, prep_exam4):
         # wide stencils near the boundary exercise the unequal-arm path
         grid = build_grid(21)
-        plan = plan_grid(grid, prep_exam4.table, prep_exam4.constants)
+        plan = plan_grid(grid, prep_exam4.table)
         assert plan.max_m >= 3  # guarantees clipped arms exist at this size
         system = assemble(prep_exam4.problem, plan)
         assert audit_m_matrix(system).passed

@@ -77,7 +77,8 @@ class TestConfigHandling:
         cfg = tmp_path / "run.cfg"
         for text in ("problem exam1", "k=abc", "m=2.5", "tol=tight", "max_iter=1e3", "probe_step=fine",
                      "probe_step=nan", "probe_step=1e-7", "probe_step=1e-300", "tol=0", "tol=-1", "tol=nan",
-                     "force=on", "m=0", "m=1500000000", "m=3000000000", "max_iter=0", "max_iter=-5"):
+                     "force=on", "m=0", "m=1500000000", "m=3000000000", "max_iter=0", "max_iter=-5",
+                     "k=nan", "k=inf", "k=0", "k=-1"):
             cfg.write_text(f"problem=exam1\n{text}\n")
             code = run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(tmp_path / "o"))
             assert code == EXIT_CONFIG, text
@@ -96,12 +97,26 @@ class TestConfigHandling:
         assert (tmp_path / "manifest.txt").is_file()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--probe-step", "nan"), ("--tol", "0"), ("--k", "abc"), ("--m", "3000000000"),
+        ("--probe-step", "nan"), ("--tol", "0"), ("--k", "abc"), ("--k", "nan"), ("--m", "3000000000"),
     ])
     def test_bad_flag_value(self, tmp_path, capsys, flag, value):
         # Flags go through the same parsers as config entries.
         assert run_cli("solve", "exam3", "--n", "4", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-file"])
+    def test_unreadable_config_or_out(self, tmp_path, capsys, case):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf8":
+            cfg.write_bytes(b"problem=exam1\n# \xff\n")
+        elif case == "out-is-file":
+            cfg.write_text("problem=exam1\n")
+            out.write_text("")
+        assert run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_readme_lists_every_flag(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -174,6 +189,13 @@ class TestStudyCommands:
         assert code == EXIT_OK
         assert "fitted slope" in capsys.readouterr().out
         assert (out / "convergence.csv").exists()
+
+    def test_converge_with_zero_error(self, tmp_path, capsys):
+        # x is exact on every grid; N=2 has one unknown and no error at all.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=0\nc=1\nexact_u=x\nn=2,4,8\nprobe_step=0.05\n")
+        assert run_cli("converge", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_OK
+        assert "N=2: h=0.5 max_error=0.000000e+00\n" in capsys.readouterr().out
 
     def test_converge_requires_exact(self, tmp_path):
         assert run_cli("converge", "exam1", "--n", "9,17", "--out", str(tmp_path)) == EXIT_CONFIG

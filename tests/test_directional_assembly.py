@@ -184,7 +184,7 @@ def test_clip_arms_lengths_at_large_half_width():
 def test_assemble_matches_per_node_assembly(request, prepared, n):
     prep = request.getfixturevalue(prepared)
     grid = build_grid(n)
-    plan = plan_grid(grid, prep.table, prep.constants)
+    plan = plan_grid(grid, prep.table)
     system = assemble(prep.problem, plan)
     matrix, rhs = assemble_reference(prep.problem, grid, plan)
     got = system.matrix

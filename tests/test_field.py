@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from monofd.errors import ConfigError, FieldValidationError
-from monofd.field import (
-    ProbeTable,
-    built_in_field,
-    compute_constants,
-    field_from_expressions,
-)
+from monofd.field import ProbeTable, field_from_expressions
+from monofd.problems import built_in_problem
+
+from conftest import identity_field
 
 SQRT2 = math.sqrt(2.0)
 
@@ -20,49 +18,49 @@ def constant_field(a, b, c, name="const"):
 
 class TestTensorEvaluation:
     def test_exam1_point_value(self):
-        field = built_in_field("exam1")
+        field = built_in_problem("exam1").field
         a, b, c = field.tensor(0.25, 0.5)
         assert (a, c) == (9.0, 3.0)
         assert b == pytest.approx(4.0 * math.sin(math.pi / 4))
         assert b == pytest.approx(2.828427, abs=1e-6)
 
     def test_identity_everywhere(self):
-        field = built_in_field("identity")
+        field = identity_field()
         assert field.tensor(0.3, 0.7) == (1.0, 0.0, 1.0)
 
     def test_exam4_origin(self):
         # theta = pi*sin(0)*cos(0) = 0, so the tensor is diag(k, 1)
-        field = built_in_field("exam4", k=10)
+        field = built_in_problem("exam4", k=10).field
         a, b, c = field.tensor(0.0, 0.0)
         assert a == pytest.approx(10.0)
         assert b == pytest.approx(0.0, abs=1e-15)
         assert c == pytest.approx(1.0)
 
     def test_domain_error(self):
-        field = built_in_field("exam1")
+        field = built_in_problem("exam1").field
         with pytest.raises(ConfigError):
             field.tensor(1.2, 0.5)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
-            built_in_field("exam2")
+            built_in_problem("exam5")
 
 
 class TestValidateSpd:
-    """Positive-definiteness validation, done by compute_constants."""
+    """Positive-definiteness validation, done as ProbeTable computes its constants."""
 
     def test_exam1_minimum_determinant(self):
         # 27 - 16 sin^2 attains its minimum 11 exactly on the probe lattice
-        constants = compute_constants(ProbeTable(built_in_field("exam1"), 1e-2))
+        constants = ProbeTable(built_in_problem("exam1").field, 1e-2).constants
         assert constants.alpha_bar == pytest.approx(11.0, abs=1e-12)
 
     def test_indefinite_rejected(self):
         # det = 1 > 0, but a and c are negative: negative definite
         with pytest.raises(FieldValidationError):
-            compute_constants(ProbeTable(constant_field(-1, 0, -1), 0.25))
+            ProbeTable(constant_field(-1, 0, -1), 0.25)
 
     def test_exam4_determinant_is_k(self):
-        constants = compute_constants(ProbeTable(built_in_field("exam4", k=100), 1e-2))
+        constants = ProbeTable(built_in_problem("exam4", k=100).field, 1e-2).constants
         assert constants.alpha_bar == pytest.approx(100.0, rel=1e-12)
 
 
@@ -70,7 +68,7 @@ class TestRatioFunctions:
     """The sampled slope ratios F = c/b and G = b/a of the probe table."""
 
     def test_zero_b_point(self):
-        table = ProbeTable(built_in_field("exam1"), 0.25)  # b = 0 on the x-axis
+        table = ProbeTable(built_in_problem("exam1").field, 0.25)  # b = 0 on the x-axis
         assert np.isnan(table.ratio_f[0]).all()
         assert (table.ratio_g[0] == 0.0).all()
 
@@ -87,22 +85,22 @@ class TestRatioFunctions:
 
 class TestComputeConstants:
     def test_exam1_reference_values(self, prep_exam1):
-        constants = prep_exam1.constants
+        constants = prep_exam1.table.constants
         assert constants.alpha_bar == pytest.approx(11.0, abs=1e-12)
         assert constants.alpha == pytest.approx(45.0, abs=1e-12)
         assert constants.lip_fplus == 0.0  # cut-off saturates; see cap level
         assert constants.lip_fminus == 0.0
         assert constants.radius > 0.0
 
-    def test_identity_constant_field(self, identity_setup):
-        _, constants = identity_setup
+    def test_identity_constant_field(self, identity_table):
+        constants = identity_table.constants
         assert constants.alpha_bar == pytest.approx(1.0)
         assert constants.alpha == pytest.approx(1.0)
         assert constants.lip_g == 0.0
         assert constants.radius == pytest.approx(SQRT2)
 
     def test_exam3_extremes(self, prep_exam3):
-        constants = prep_exam3.constants
+        constants = prep_exam3.table.constants
         # a*c - b^2 = 1.21 - sin^2 and a(|b|+1) = 1.1(1+|sin|), extremized
         # where sin(2*pi*x*y) hits +-1; confirmed against the dense lattice.
         assert constants.alpha_bar == pytest.approx(0.21, abs=1e-9)
@@ -110,16 +108,16 @@ class TestComputeConstants:
 
     def test_rejects_indefinite_field(self):
         with pytest.raises(FieldValidationError):
-            compute_constants(ProbeTable(constant_field(1, 2, 1), 0.05))
+            ProbeTable(constant_field(1, 2, 1), 0.05)
         # 0/0 gives NaN and 1/0 gives inf at x = 0
         for a in ("x/x + 1", "1/x"):
             with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(FieldValidationError):
-                compute_constants(ProbeTable(field_from_expressions("nonfinite", a, "0", "1"), 1e-2))
+                ProbeTable(field_from_expressions("nonfinite", a, "0", "1"), 1e-2)
 
     def test_refinement_monotonicity(self):
-        field = built_in_field("exam3")
-        coarse = compute_constants(ProbeTable(field, 1 / 100))
-        fine = compute_constants(ProbeTable(field, 1 / 200))
+        field = built_in_problem("exam3").field
+        coarse = ProbeTable(field, 1 / 100).constants
+        fine = ProbeTable(field, 1 / 200).constants
         assert fine.alpha_bar <= coarse.alpha_bar + 1e-15
         assert fine.alpha >= coarse.alpha - 1e-15
 
@@ -127,7 +125,7 @@ class TestComputeConstants:
         # F+ >= G + alpha_bar/alpha and F- <= G - alpha_bar/alpha everywhere,
         # with the cut-offs F+ = c/b capped at cap_m where b > 0 (cap_m
         # elsewhere) and F- = c/b floored at -cap_m where b < 0.
-        constants = prep_exam4.constants
+        constants = prep_exam4.table.constants
         field = prep_exam4.problem.field
         gap = constants.alpha_bar / constants.alpha
         cap = constants.cap_m
@@ -162,6 +160,6 @@ class TestProbeTable:
     def test_empty_window(self, prep_exam1):
         out = prep_exam1.table.window_intervals(0.5, 0.5, 1e-9)
         # ball smaller than the lattice pitch may catch no probe at off-lattice centers
-        table = ProbeTable(built_in_field("exam1"), 0.25)
+        table = ProbeTable(built_in_problem("exam1").field, 0.25)
         a_sup, b_inf, c_sup, d_inf = table.window_intervals(0.13, 0.13, 0.01)
         assert a_sup == -np.inf and d_inf == np.inf

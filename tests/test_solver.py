@@ -5,15 +5,18 @@ import scipy.sparse as sp
 from monofd.assembly import SparseSystem, assemble
 from monofd.errors import SolverError
 from monofd.expressions import parse_expression
-from monofd.field import ProbeTable, built_in_field, compute_constants
+from monofd.field import ProbeTable
 from monofd.grid import build_grid
 from monofd.solver import _solve_direct, _solve_krylov, residual, solve
 from monofd.stencil import plan_grid
 from monofd.assembly import Problem
+from monofd.problems import built_in_problem
+
+from conftest import identity_field
 
 
 def identity_problem(f, g):
-    return Problem("t", built_in_field("identity"), parse_expression(f), parse_expression(g))
+    return Problem("t", identity_field(), parse_expression(f), parse_expression(g))
 
 
 def small_system():
@@ -23,11 +26,10 @@ def small_system():
 
 
 def test_single_unknown_solves_in_one_step():
-    field = built_in_field("identity")
+    field = identity_field()
     table = ProbeTable(field, 0.25)
-    constants = compute_constants(table)
     grid = build_grid(2)
-    system = assemble(identity_problem("0", "x"), plan_grid(grid, table, constants))
+    system = assemble(identity_problem("0", "x"), plan_grid(grid, table))
     u, report = solve(system)
     assert u == pytest.approx([0.5])
     assert report.converged
@@ -81,11 +83,10 @@ def test_deterministic_repeat():
 
 def test_inverse_positivity_observed():
     # f >= 0 and g >= 0 imply a nonnegative solution for an M-matrix system
-    field = built_in_field("exam1")
+    field = built_in_problem("exam1").field
     table = ProbeTable(field, 1e-3)
-    constants = compute_constants(table)
     grid = build_grid(15)
-    plan = plan_grid(grid, table, constants)
+    plan = plan_grid(grid, table)
     problem = Problem("pos", field, parse_expression("1"), parse_expression("x*y"))
     system = assemble(problem, plan)
     u, report = solve(system)
@@ -104,7 +105,7 @@ def test_krylov_branch_agrees_with_lu(prep_exam3):
     # The ILU-BiCGStab branch runs only past the direct-solve limit in
     # production; called directly here on a small exam3 system.
     grid = build_grid(31)
-    plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
+    plan = plan_grid(grid, prep_exam3.table)
     system = assemble(prep_exam3.problem, plan)
     u_krylov, report = _solve_krylov(system, 1e-10, 10 * system.dimension)
     u_direct, _ = _solve_direct(system, 1e-10)

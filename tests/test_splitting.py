@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from monofd.assembly import directional_term_row
 from monofd.errors import AssemblyError, PlanError
-from monofd.field import built_in_field, field_from_expressions
+from monofd.field import field_from_expressions
+from monofd.problems import built_in_problem
 from monofd.splitting import GAMMA_TOLERANCE, AngleIntervals, slope_bounds, split_values
+
+from conftest import identity_field
 
 
 def region_grid(x0, x1, y0, y1, n=21):
@@ -32,7 +35,7 @@ def region_intervals(field, region):
 
 class TestAngleIntervals:
     def test_zero_b_region_both_empty(self):
-        field = built_in_field("identity")
+        field = identity_field()
         iv = region_intervals(field, region_grid(0.2, 0.8, 0.2, 0.8))
         assert (iv.a_sup, iv.b_inf, iv.c_sup, iv.d_inf) == (-np.inf, np.inf, -np.inf, np.inf)
         assert iv.plus_empty and iv.minus_empty
@@ -45,7 +48,7 @@ class TestAngleIntervals:
 
     def test_axis0_matches_column_reductions(self):
         # columns mix both signs of b, one sign only, and b = 0 only
-        field = built_in_field("exam3")
+        field = built_in_problem("exam3").field
         x = np.array([[0.7, 0.2, 0.6, 0.0], [0.8, 0.3, 0.9, 0.0], [0.5, 0.1, 0.95, 0.0]])
         y = np.array([[0.7, 0.2, 0.6, 0.4], [0.8, 0.3, 0.9, 0.5], [0.6, 0.1, 0.95, 0.6]])
         g, f, plus, minus = ratios(field, x, y)
@@ -57,7 +60,7 @@ class TestAngleIntervals:
 
     def test_sign_changing_region_vs_bruteforce(self):
         # Oracle: dense 1e-4-pitch sampling of the same rectangle.
-        field = built_in_field("exam3")
+        field = built_in_problem("exam3").field
         x0, x1, y0, y1 = 0.55, 0.75, 0.6, 0.8  # b changes sign across xy=0.5
         iv = region_intervals(field, region_grid(x0, x1, y0, y1, 64))
         xs = np.arange(x0, x1 + 1e-12, 1e-4)
@@ -75,7 +78,7 @@ class TestAngleIntervals:
         assert iv.b_inf >= (c[plus] / b[plus]).min() - 1e-12
 
     def test_antitone_in_region_growth(self):
-        field = built_in_field("exam1")
+        field = built_in_problem("exam1").field
         small = region_intervals(field, region_grid(0.3, 0.5, 0.3, 0.5))
         large = region_intervals(field, region_grid(0.2, 0.6, 0.2, 0.6))
         assert large.a_sup >= small.a_sup
@@ -174,7 +177,7 @@ def min_split(field, tan1, tan2, region):
 
 class TestVerifyNonnegative:
     def test_identity_any_angle(self):
-        field = built_in_field("identity")
+        field = identity_field()
         mins = min_split(field, math.tan(0.7), math.tan(-0.7), region_grid(0, 1, 0, 1))
         assert mins.min() >= GAMMA_TOLERANCE
 

@@ -54,7 +54,7 @@ class TestPrincipalDirections:
     def test_invalid_m(self, prep_exam1):
         for fixed_m in (0, MAX_HALF_WIDTH + 1):
             with pytest.raises(PlanningError):
-                plan_grid(build_grid(5), prep_exam1.table, prep_exam1.constants, fixed_m=fixed_m)
+                plan_grid(build_grid(5), prep_exam1.table, fixed_m=fixed_m)
 
 
 class TestUpperBound:
@@ -66,7 +66,7 @@ class TestUpperBound:
         assert stencil_upper_bound(constants) == 4
 
     def test_exam3_bound(self, prep_exam3):
-        assert stencil_upper_bound(prep_exam3.constants) == 32
+        assert stencil_upper_bound(prep_exam3.table.constants) == 32
 
 
 class TestSelectStencil:
@@ -160,32 +160,32 @@ class TestClipArm:
 
 
 class TestMeshCondition:
-    def test_arithmetic_pass(self, identity_setup):
-        table, constants = identity_setup
+    def test_arithmetic_pass(self, identity_table):
+        table = identity_table
         grid = build_grid(100)
-        plan = plan_grid(grid, table, constants)
+        plan = plan_grid(grid, table)
         from dataclasses import replace
 
-        fake = replace(constants, radius=0.05)
+        fake = replace(table.constants, radius=0.05)
         plan.m[:] = 2
         res = check_mesh_condition(replace(plan, constants=fake))
         assert res.passed and res.lhs == pytest.approx(0.0283, abs=1e-4)
 
-    def test_arithmetic_fail(self, identity_setup):
-        table, constants = identity_setup
+    def test_arithmetic_fail(self, identity_table):
+        table = identity_table
         grid = build_grid(4)
-        plan = plan_grid(grid, table, constants)
+        plan = plan_grid(grid, table)
         from dataclasses import replace
 
         plan.m[:] = 2
-        res = check_mesh_condition(replace(plan, constants=replace(constants, radius=0.05)))
+        res = check_mesh_condition(replace(plan, constants=replace(table.constants, radius=0.05)))
         assert not res.passed
 
-    def test_constant_field_always_passes(self, identity_setup):
-        table, constants = identity_setup
+    def test_constant_field_always_passes(self, identity_table):
+        table = identity_table
         for n in (2, 5, 17):
             grid = build_grid(n)
-            plan = plan_grid(grid, table, constants)
+            plan = plan_grid(grid, table)
             assert plan.max_m == 1
             assert check_mesh_condition(plan).passed
 
@@ -193,19 +193,19 @@ class TestMeshCondition:
 class TestPlanGrid:
     def test_exam1_five_by_five_suffices(self, prep_exam1):
         grid = build_grid(101)
-        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
+        plan = plan_grid(grid, prep_exam1.table)
         assert plan.max_m == 2
         hist = plan.m_histogram()
         assert set(hist) == {1, 2}
 
-    def test_identity_plans_axes_only(self, identity_setup):
-        table, constants = identity_setup
-        plan = plan_grid(build_grid(9), table, constants)
+    def test_identity_plans_axes_only(self, identity_table):
+        table = identity_table
+        plan = plan_grid(build_grid(9), table)
         assert plan.max_m == 1
         assert not plan.i1.any() and not plan.i2.any()
 
     def test_exam3_all_diagonal(self, prep_exam3):
-        plan = plan_grid(build_grid(51), prep_exam3.table, prep_exam3.constants)
+        plan = plan_grid(build_grid(51), prep_exam3.table)
         assert plan.m_histogram() == {1: 2500}
         # where a sign part exists the chosen slope is the diagonal
         assert set(np.unique(plan.tan1[~np.isnan(plan.tan1)])) == {1.0}
@@ -214,15 +214,14 @@ class TestPlanGrid:
     def test_strict_diagonal_dominance_implies_m1(self):
         # a > |b| and c > |b| with comfortable margins: 3x3 everywhere
         field = field_from_expressions("dd", "2.0", "sin(2*pi*x*y)", "2.0")
-        from monofd.field import ProbeTable, compute_constants
+        from monofd.field import ProbeTable
 
         table = ProbeTable(field, 1e-3)
-        constants = compute_constants(table)
-        plan = plan_grid(build_grid(21), table, constants)
+        plan = plan_grid(build_grid(21), table)
         assert plan.m_histogram() == {1: 400}
 
     def test_planned_slopes_inside_intervals(self, prep_exam4):
-        plan = plan_grid(build_grid(31), prep_exam4.table, prep_exam4.constants)
+        plan = plan_grid(build_grid(31), prep_exam4.table)
         active1 = plan.i1 != 0
         assert np.all(plan.tan1[active1] > plan.a_sup[active1])
         assert np.all(plan.tan1[active1] < plan.b_inf[active1])
@@ -231,20 +230,20 @@ class TestPlanGrid:
         assert np.all(plan.tan2[active2] < plan.d_inf[active2])
 
     def test_m1_plans_use_diagonals_when_b_present(self, prep_exam3):
-        plan = plan_grid(build_grid(21), prep_exam3.table, prep_exam3.constants)
+        plan = plan_grid(build_grid(21), prep_exam3.table)
         ones = plan.m == 1
         assert np.all((plan.i1[ones] == 1) | (plan.i1[ones] == 0))
         assert np.all((plan.i2[ones] == -1) | (plan.i2[ones] == 0))
 
     def test_fixed_m_respected(self, prep_exam1):
-        plan = plan_grid(build_grid(15), prep_exam1.table, prep_exam1.constants, fixed_m=2)
+        plan = plan_grid(build_grid(15), prep_exam1.table, fixed_m=2)
         assert plan.m_histogram() == {2: 196}
 
     def test_node_plan_materialization(self, prep_exam1):
         # each dump line restates the node's plan and counts the arms of its
         # planned directions that clip_arm shortens at the boundary
         grid = build_grid(15)
-        plan = plan_grid(grid, prep_exam1.table, prep_exam1.constants)
+        plan = plan_grid(grid, prep_exam1.table)
         stream = io.StringIO()
         plan.dump(stream)
         rows = [line.split() for line in stream.getvalue().splitlines()[1:]]
@@ -264,7 +263,7 @@ class TestPlanGrid:
 
     def test_dump_format(self, prep_exam3, tmp_path):
         grid = build_grid(5)
-        plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
+        plan = plan_grid(grid, prep_exam3.table)
         path = tmp_path / "plan.txt"
         with open(path, "w") as fh:
             plan.dump(fh)

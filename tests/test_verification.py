@@ -6,8 +6,8 @@ import pytest
 from monofd.assembly import Problem, assemble
 from monofd.errors import ConfigError
 from monofd.expressions import NonDifferentiableError, parse_expression
-from monofd.field import built_in_field
 from monofd.grid import build_grid
+from monofd.problems import built_in_problem
 from monofd.stencil import plan_grid
 from monofd.verification import (
     convergence_study,
@@ -21,24 +21,26 @@ from monofd.verification import (
     write_dmp_csv,
 )
 
+from conftest import identity_field
+
 
 class TestManufactured:
     def test_identity_quadratic_source(self):
-        problem = manufactured_problem(built_in_field("identity"), "x*x + y*y")
+        problem = manufactured_problem(identity_field(), "x*x + y*y")
         rng = np.random.default_rng(1)
         for x, y in rng.uniform(0, 1, size=(20, 2)):
             assert problem.f(x, y) == pytest.approx(-4.0)
             assert problem.g(x, y) == pytest.approx(x * x + y * y)
 
     def test_identity_wave_source(self):
-        problem = manufactured_problem(built_in_field("identity"), "sin(2*pi*x)*sin(3*pi*y)")
+        problem = manufactured_problem(identity_field(), "sin(2*pi*x)*sin(3*pi*y)")
         x, y = 0.37, 0.61
         expected = 13 * math.pi**2 * math.sin(2 * math.pi * x) * math.sin(3 * math.pi * y)
         assert problem.f(x, y) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_numerical_divergence_oracle(self):
         # independent oracle: 4th-order central differencing of D grad u
-        field = built_in_field("exam3")
+        field = built_in_problem("exam3").field
         problem = manufactured_problem(field, "sin(2*pi*x)*sin(3*pi*y)")
         u = problem.exact_u
         step = 1e-4
@@ -66,12 +68,12 @@ class TestManufactured:
 
     def test_rejects_nondifferentiable_expression(self):
         with pytest.raises(NonDifferentiableError):
-            manufactured_problem(built_in_field("identity"), "abs(x - 0.5)")
+            manufactured_problem(identity_field(), "abs(x - 0.5)")
 
 
 class TestDmpTable:
     def test_harmonic_plane(self):
-        problem = manufactured_problem(built_in_field("identity"), "x")
+        problem = manufactured_problem(identity_field(), "x")
         # replace the manufactured zero source with literal zero to use dmp path
         prepared = prepare(Problem("plane", problem.field, parse_expression("0"),
                                    problem.g, problem.exact_u), probe_step=1e-2)
@@ -88,7 +90,7 @@ class TestDmpTable:
 
 class TestConvergence:
     def test_exact_on_linears(self):
-        prepared = prepare(manufactured_problem(built_in_field("identity"), "x + y"), 1e-2)
+        prepared = prepare(manufactured_problem(identity_field(), "x + y"), 1e-2)
         rows, slope = convergence_study(prepared, [4, 8])
         assert all(r.max_error < 1e-9 for r in rows)
 
@@ -107,8 +109,17 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             convergence_study(prep_exam1, [5, 9])
 
+    def test_zero_error_rows(self):
+        # x is exact; N=2 has one unknown and an error of exactly 0.
+        prepared = prepare(manufactured_problem(identity_field(), "x"), 0.05)
+        rows, slope = convergence_study(prepared, [2, 4])
+        assert [r.n for r in rows] == [2, 4]
+        assert rows[0].max_error == 0.0
+        assert rows[1].observed_order is None
+        assert math.isnan(slope)
+
     def test_boundary_mismatch_detected(self):
-        field = built_in_field("identity")
+        field = identity_field()
         bad = Problem(
             "bad",
             field,
@@ -149,7 +160,7 @@ class TestSignPattern:
         from monofd.errors import AssemblyError
 
         grid = build_grid(11)
-        plan = plan_grid(grid, prep_exam3.table, prep_exam3.constants)
+        plan = plan_grid(grid, prep_exam3.table)
         plan.i1[:] = -1  # slope -1, outside (sup b/a, inf c/b)
         with pytest.raises(AssemblyError):
             assemble(prep_exam3.problem, plan)
