@@ -29,7 +29,7 @@ from .field import (
     compute_constants,
 )
 from .grid import Grid, build_grid
-from .problems import built_in_problem
+from .problems import built_in_problem, manufactured_problem
 from .solver import SolveReport, residual, solve
 from .splitting import AngleIntervals, slope_bounds
 from .stencil import (
@@ -45,7 +45,6 @@ from .verification import (
     DmpRow,
     convergence_study,
     dmp_table,
-    manufactured_problem,
     prepare,
     run_case,
     sign_pattern_summary,

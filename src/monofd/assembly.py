@@ -106,36 +106,6 @@ def directional_term_row(gamma_plus, gamma_minus, s_plus, s_minus):
     return w_minus, w_center, w_plus
 
 
-class _Accumulator:
-    """Collects COO triplets and boundary foldings for the linear system."""
-
-    def __init__(self, dim: int, rhs: np.ndarray):
-        self.dim = dim
-        self.rhs = rhs
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
-
-    def add(self, rows, cols, vals):
-        self.rows.append(np.asarray(rows, dtype=np.int64).ravel())
-        self.cols.append(np.asarray(cols, dtype=np.int64).ravel())
-        self.vals.append(np.asarray(vals, dtype=float).ravel())
-
-    def fold(self, rows, weights, g_values):
-        # weight * g moves across the equals sign
-        np.subtract.at(self.rhs, np.asarray(rows, dtype=np.int64).ravel(),
-                       np.asarray(weights, dtype=float).ravel() * np.asarray(g_values, dtype=float).ravel())
-
-    def to_system(self) -> SparseSystem:
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim)).tocsr()
-        matrix.sum_duplicates()
-        matrix.sort_indices()
-        return SparseSystem(matrix, self.rhs)
-
-
 def _evaluate(fn, xs, ys) -> np.ndarray:
     """``fn`` at the points (xs, ys) as a float array, constants broadcast."""
     return np.broadcast_to(np.asarray(fn(xs, ys), dtype=float), np.shape(xs)).ravel()
@@ -188,24 +158,30 @@ def assemble(problem: Problem, plan: GridPlan) -> SparseSystem:
     J, K = grid.interior_nodes()
     every = np.arange(grid.interior_count)
     tan1, tan2 = plan.tan1, plan.tan2
+    entries = []  # (rows, cols, values) triplet arrays
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        acc = _Accumulator(every.size, _evaluate(problem.f, J / grid.n, K / grid.n).copy())
+        rhs = _evaluate(problem.f, J / grid.n, K / grid.n).copy()
         # gamma0 along x and gamma2 along y at every node
         for which, (label, dx, dy) in enumerate((("gamma-x", 1, 0), ("gamma-y", 0, 1))):
-            _assemble_direction(acc, problem, grid, every, J, K, dx, dy,
+            _assemble_direction(entries, rhs, problem, grid, every, J, K, dx, dy,
                                 _axis_gamma(field, tan1, tan2, which), label)
         # gamma1 along the planned direction of each sign part
         for side, i_arr, tan in (("plus", plan.i1, tan1), ("minus", plan.i2, tan2)):
             rows = np.flatnonzero(i_arr)
             if rows.size:
                 dx, dy = direction_offsets(plan.m[rows], i_arr[rows])
-                _assemble_direction(acc, problem, grid, rows, J[rows], K[rows], dx, dy,
+                _assemble_direction(entries, rhs, problem, grid, rows, J[rows], K[rows], dx, dy,
                                     _diagonal_gamma(field, tan[rows], side), f"gamma-{side}")
-    return acc.to_system()
+    rows, cols, vals = map(np.concatenate, zip(*entries))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(every.size, every.size)).tocsr()
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    return SparseSystem(matrix, rhs)
 
 
-def _assemble_direction(acc, problem, grid, rows, j, k, dx, dy, gamma, label):
-    """Add one term at nodes ``rows`` = (j, k) along lattice offsets (dx, dy).
+def _assemble_direction(entries, rhs, problem, grid, rows, j, k, dx, dy, gamma, label):
+    """Append one term's triplets at nodes ``rows`` = (j, k) along lattice
+    offsets (dx, dy) to ``entries``, and fold its boundary weights into ``rhs``.
 
     ``gamma(x, y)`` gives the term's coefficient at one point per node; it
     is taken at the two arm midpoints.
@@ -223,12 +199,13 @@ def _assemble_direction(acc, problem, grid, rows, j, k, dx, dy, gamma, label):
     # Checked here to name the node; directional_term_row only knows values.
     _check_nonnegative(np.concatenate([gm_hi, gm_lo]), np.concatenate([rows, rows]), grid, label)
     w_lo, w_center, w_hi = directional_term_row(gm_hi, gm_lo, s_hi, s_lo)
-    acc.add(rows, rows, w_center)
+    entries.append((rows, rows, w_center))
     for (_, _, col, x, y), w in zip(arms, (w_hi, w_lo)):
         interior = col >= 0
-        acc.add(rows[interior], col[interior], w[interior])
+        entries.append((rows[interior], col[interior], w[interior]))
         bnd = ~interior
-        acc.fold(rows[bnd], w[bnd], _evaluate(problem.g, x[bnd], y[bnd]))
+        # weight * g moves across the equals sign
+        np.subtract.at(rhs, rows[bnd], w[bnd] * _evaluate(problem.g, x[bnd], y[bnd]))
 
 
 def audit_m_matrix(system: SparseSystem) -> MatrixAudit:

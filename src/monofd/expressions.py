@@ -24,13 +24,7 @@ __all__ = [
     "Expression",
     "NonDifferentiableError",
     "parse_expression",
-    "const",
-    "var",
-    "sin",
-    "cos",
-    "tan",
-    "atan",
-    "absval",
+    "negative_divergence",
 ]
 
 
@@ -52,9 +46,8 @@ _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 class Expression:
     """Immutable expression tree node.
 
-    Subclasses implement ``evaluate`` and ``diff``.  Python operators are
-    overloaded so trees can be written directly, e.g. ``9 + 4 * sin(x * y)``
-    with ``x = var("x")``.
+    Subclasses implement ``evaluate`` and ``diff``; trees come from
+    ``parse_expression`` and are combined by the folding constructors below.
     """
 
     def evaluate(self, x, y):
@@ -65,41 +58,6 @@ class Expression:
 
     def __call__(self, x, y):
         return self.evaluate(x, y)
-
-    # Operator sugar.  Plain numbers are lifted to Const.
-    def __add__(self, other):
-        return _add(self, _lift(other))
-
-    def __radd__(self, other):
-        return _add(_lift(other), self)
-
-    def __sub__(self, other):
-        return _sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return _sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return _mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return _mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return _div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return _div(_lift(other), self)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, Expression):
-            if not isinstance(exponent, Const):
-                raise ConfigError("only constant exponents are supported")
-            exponent = exponent.value
-        return _pow(self, float(exponent))
-
-    def __neg__(self):
-        return _mul(Const(-1.0), self)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -210,12 +168,6 @@ class Func(Expression):
         return f"{self.fname}({self.arg})"
 
 
-def _lift(value) -> Expression:
-    if isinstance(value, Expression):
-        return value
-    return Const(float(value))
-
-
 def _is_const(e: Expression, v=None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
@@ -272,36 +224,13 @@ def _pow(u, exponent: float):
     return Pow(u, exponent)
 
 
-# Convenience constructors for building trees in code.
-
-def const(value) -> Expression:
-    return Const(float(value))
-
-
-def var(name: str) -> Expression:
-    if name not in ("x", "y"):
-        raise ConfigError(f"unknown variable {name!r}; only x and y exist")
-    return Var(name)
-
-
-def sin(u) -> Expression:
-    return Func("sin", _lift(u))
-
-
-def cos(u) -> Expression:
-    return Func("cos", _lift(u))
-
-
-def tan(u) -> Expression:
-    return Func("tan", _lift(u))
-
-
-def atan(u) -> Expression:
-    return Func("atan", _lift(u))
-
-
-def absval(u) -> Expression:
-    return Func("abs", _lift(u))
+def negative_divergence(a, b, c, u):
+    """-div(D grad u) for the tensor D = [[a, b], [b, c]], by symbolic
+    differentiation; raises NonDifferentiableError if a tree uses abs."""
+    ux, uy = u.diff("x"), u.diff("y")
+    flux_x = _add(_mul(a, ux), _mul(b, uy))
+    flux_y = _add(_mul(b, ux), _mul(c, uy))
+    return _mul(Const(-1.0), _add(flux_x.diff("x"), flux_y.diff("y")))
 
 
 def parse_expression(text: str) -> Expression:

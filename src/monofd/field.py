@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FieldValidationError
-from .expressions import Expression, const, parse_expression
+from .expressions import Expression, parse_expression
 from .splitting import SLOPE_REDUCTIONS, masked_ratios, slope_ratios
 
 __all__ = [
@@ -54,12 +54,6 @@ class DiffusionField:
     a: Expression
     b: Expression
     c: Expression
-
-    def tensor(self, x: float, y: float) -> tuple[float, float, float]:
-        """Entries (a, b, c) at a single point of the closed unit square."""
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise ConfigError(f"point ({x}, {y}) lies outside the closed unit square")
-        return float(self.a(x, y)), float(self.b(x, y)), float(self.c(x, y))
 
     def tensor_arrays(self, x, y):
         """Vectorized entries; domain checking is the caller's concern."""
@@ -239,14 +233,6 @@ def compute_constants(table: ProbeTable) -> SplittingConstants:
     )
 
 
-def field_from_expressions(name: str, a, b, c) -> DiffusionField:
-    """Build a field from Expression objects or grammar strings."""
-    def as_expr(v):
-        if isinstance(v, Expression):
-            return v
-        if isinstance(v, str):
-            return parse_expression(v)
-        return const(v)
-
-    return DiffusionField(name, as_expr(a), as_expr(b), as_expr(c))
-
+def field_from_expressions(name: str, a: str, b: str, c: str) -> DiffusionField:
+    """Build a field from the grammar text of its entries a, b and c."""
+    return DiffusionField(name, parse_expression(a), parse_expression(b), parse_expression(c))

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from .assembly import Problem
 from .errors import ConfigError
-from .expressions import parse_expression
-from .field import field_from_expressions
-from .verification import manufactured_problem
+from .expressions import negative_divergence, parse_expression
+from .field import DiffusionField, field_from_expressions
 
-__all__ = ["BUILT_IN_PROBLEMS", "built_in_problem", "problem_from_expressions"]
+__all__ = ["BUILT_IN_PROBLEMS", "built_in_problem", "manufactured_problem", "problem_from_expressions"]
 
 _WAVE = "sin(2*pi*x) * sin(3*pi*y)"
 
@@ -31,6 +30,15 @@ _PROBLEMS = {
 }
 
 BUILT_IN_PROBLEMS = tuple(_PROBLEMS)
+
+
+def manufactured_problem(field: DiffusionField, exact_u: str, name: str | None = None) -> Problem:
+    """Problem whose solution is the grammar text ``exact_u``: the source is
+    -div(D grad u) by symbolic differentiation, so ``exact_u`` must stay
+    inside the differentiable grammar subset (no abs), and g is u."""
+    u = parse_expression(exact_u)
+    f = negative_divergence(field.a, field.b, field.c, u)
+    return Problem(name=name or f"manufactured-{field.name}", field=field, f=f, g=u, exact_u=u)
 
 
 def problem_from_expressions(name: str, abc, f=None, g=None, exact_u=None) -> Problem:

@@ -48,14 +48,6 @@ class AngleIntervals:
     c_sup: float
     d_inf: float
 
-    @property
-    def plus_empty(self) -> bool:
-        return self.a_sup == -np.inf
-
-    @property
-    def minus_empty(self) -> bool:
-        return self.d_inf == np.inf
-
 
 # Reduction and empty-part value of each slope bound, in (A, B, C, D) order.
 SLOPE_REDUCTIONS = (

@@ -14,8 +14,7 @@ import numpy as np
 
 from .assembly import MatrixAudit, Problem, SparseSystem, assemble, audit_m_matrix
 from .errors import AuditError, ConfigError, SolverError
-from .expressions import Expression, parse_expression
-from .field import DiffusionField, ProbeTable
+from .field import ProbeTable
 from .grid import Grid, build_grid
 from .solver import SolveReport, solve
 from .stencil import GridPlan, MeshCondition, check_mesh_condition, plan_grid
@@ -30,7 +29,6 @@ __all__ = [
     "run_case",
     "dmp_row",
     "dmp_table",
-    "manufactured_problem",
     "convergence_study",
     "sign_pattern_summary",
     "solution_on_grid",
@@ -171,30 +169,6 @@ def dmp_row(prepared: Prepared, n: int, solve_case) -> DmpRow:
 def dmp_table(prepared: Prepared, n_list, **case_kwargs) -> list[DmpRow]:
     """Boundary-vs-interior extrema rows for a zero-source problem."""
     return [dmp_row(prepared, n, lambda n: run_case(prepared, n, **case_kwargs)) for n in n_list]
-
-
-def manufactured_problem(field: DiffusionField, exact_u, name: str | None = None) -> Problem:
-    """Problem whose source is -div(D grad u) for a chosen exact solution u.
-
-    ``exact_u`` is an expression (or grammar string); the source comes from
-    symbolic differentiation, so the expression must stay inside the
-    differentiable grammar subset (no abs).
-    """
-    u = parse_expression(exact_u) if isinstance(exact_u, str) else exact_u
-    if not isinstance(u, Expression):
-        raise ConfigError("manufactured solutions must be grammar expressions")
-    ux = u.diff("x")
-    uy = u.diff("y")
-    flux_x = field.a * ux + field.b * uy
-    flux_y = field.b * ux + field.c * uy
-    f = -1.0 * (flux_x.diff("x") + flux_y.diff("y"))
-    return Problem(
-        name=name or f"manufactured-{field.name}",
-        field=field,
-        f=f,
-        g=u,
-        exact_u=u,
-    )
 
 
 def _check_boundary_data(problem: Problem, grid: Grid) -> None:

@@ -35,6 +35,11 @@ def identity_field() -> DiffusionField:
     return field_from_expressions("identity", "1", "0", "1")
 
 
+def tensor_at(field: DiffusionField, x: float, y: float) -> tuple[float, float, float]:
+    """Entries (a, b, c) of ``field`` at one point."""
+    return float(field.a(x, y)), float(field.b(x, y)), float(field.c(x, y))
+
+
 @pytest.fixture(scope="session")
 def exam1_constants(prep_exam1):
     return prep_exam1.table.constants

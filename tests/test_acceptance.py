@@ -31,7 +31,7 @@ from monofd.verification import (
 from monofd.assembly import Problem, assemble
 from monofd.expressions import parse_expression
 
-from conftest import identity_field
+from conftest import identity_field, tensor_at
 
 # Reference extrema, keyed by interval count (rows labeled 21/51/101).
 REFERENCE_EXTREMA = {
@@ -168,7 +168,7 @@ def test_criterion_6_splitting_identity(prep_exam1, prep_exam3, prep_exam4):
             tan2 = tan2s[idx]
             tan1 = None if math.isnan(tan1) else float(tan1)
             tan2 = None if math.isnan(tan2) else float(tan2)
-            a, b, c = field.tensor(x, y)
+            a, b, c = tensor_at(field, x, y)
             g0, g1p, g1m, g2 = split_values(a, b, c, tan1, tan2)
             worst_gamma = min(worst_gamma, g0, g1p, g1m, g2)
 

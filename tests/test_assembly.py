@@ -122,7 +122,7 @@ class TestRowSumAndLinears:
         assert np.abs(residual / scale).max() < 1e-9
 
     def test_exact_on_linears_constant_field(self):
-        field = field_from_expressions("c923", 9, 2, 3)
+        field = field_from_expressions("c923", "9", "2", "3")
         problem = make_problem(field, "0", "0.5*x + 2*y - 0.25")
         table = ProbeTable(field, 1e-2)
         grid = build_grid(12)

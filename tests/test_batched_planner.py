@@ -126,11 +126,12 @@ def select_reference(iv, m_cap, safety, fixed_m):
     m_values = [fixed_m] if fixed_m is not None else range(1, m_cap + 1)
     for margin in (safety, 0.0) if safety > 0.0 else (0.0,):
         for m in m_values:
-            plus = None if iv.plus_empty else plus_reference(m, iv, margin)
-            if plus is None and not iv.plus_empty:
+            plus_empty, minus_empty = iv.a_sup == -np.inf, iv.d_inf == np.inf
+            plus = None if plus_empty else plus_reference(m, iv, margin)
+            if plus is None and not plus_empty:
                 continue
-            minus = None if iv.minus_empty else minus_reference(m, iv, margin)
-            if minus is None and not iv.minus_empty:
+            minus = None if minus_empty else minus_reference(m, iv, margin)
+            if minus is None and not minus_empty:
                 continue
             i1, tan1 = plus if plus is not None else (None, None)
             i2, tan2 = minus if minus is not None else (None, None)

@@ -20,6 +20,8 @@ from monofd.grid import build_grid
 from monofd.splitting import split_values
 from monofd.stencil import ArmEndpoint, clip_arm, clip_arms, direction_offsets, direction_slopes, plan_grid
 
+from conftest import tensor_at
+
 
 def table_reference(m):
     angles, offsets = {}, {}
@@ -94,7 +96,7 @@ def assemble_reference(problem, grid, plan):
         terms += [(offsets[i], gamma) for i, gamma in ((i1, gamma_plus), (i2, gamma_minus)) if i]
         for (dx, dy), gamma in terms:
             ends = [clip_reference(grid, node, off) for off in ((dx, dy), (-dx, -dy))]
-            gammas = [gamma(*problem.field.tensor((x0 + end.point[0]) / 2.0, (y0 + end.point[1]) / 2.0))
+            gammas = [gamma(*tensor_at(problem.field, (x0 + end.point[0]) / 2.0, (y0 + end.point[1]) / 2.0))
                       for end in ends]
             w_lo, w_center, w_hi = directional_term_row(*gammas, ends[0].distance, ends[1].distance)
             rows.append(row), cols.append(row), vals.append(w_center)

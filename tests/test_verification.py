@@ -7,12 +7,11 @@ from monofd.assembly import Problem, assemble
 from monofd.errors import ConfigError
 from monofd.expressions import NonDifferentiableError, parse_expression
 from monofd.grid import build_grid
-from monofd.problems import built_in_problem
+from monofd.problems import built_in_problem, manufactured_problem
 from monofd.stencil import plan_grid
 from monofd.verification import (
     convergence_study,
     dmp_table,
-    manufactured_problem,
     prepare,
     run_case,
     sign_pattern_summary,
@@ -21,7 +20,7 @@ from monofd.verification import (
     write_dmp_csv,
 )
 
-from conftest import identity_field
+from conftest import identity_field, tensor_at
 
 
 class TestManufactured:
@@ -54,11 +53,11 @@ class TestManufactured:
             return float(sum(w * fn(px, py) for w, (px, py) in zip(stencil, pts)))
 
         def flux_x(x, y):
-            a, b, _ = field.tensor(x, y)
+            a, b, _ = tensor_at(field, x, y)
             return a * d4(u, x, y, 0) + b * d4(u, x, y, 1)
 
         def flux_y(x, y):
-            _, b, c = field.tensor(x, y)
+            _, b, c = tensor_at(field, x, y)
             return b * d4(u, x, y, 0) + c * d4(u, x, y, 1)
 
         rng = np.random.default_rng(11)
