@@ -23,7 +23,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("problem", choices=["exam2", "exam3", "exam4"])
     parser.add_argument("--n", default="21,41,81,161")
-    parser.add_argument("--k", type=float, default=10.0)
+    parser.add_argument("--k", type=float, default=None)
     parser.add_argument("--probe-step", type=float, default=1e-3)
     args = parser.parse_args()
 

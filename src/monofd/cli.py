@@ -70,7 +70,7 @@ REFERENCE_MAX_M = {"exam1": 2, "exam3": 1, "exam4-k10": 3, "exam4-k100": 26}
 class RunConfig:
     problem: str | None = None
     n: list[int] = dc_field(default_factory=list)
-    k: float = 10.0
+    k: float | None = None
     fixed_m: int | None = None
     tol: float = 1e-10
     max_iter: int | None = None
@@ -121,7 +121,7 @@ def _parse_switch(text: str) -> bool:
 # manifest's config line lists the fields in this order.
 _OPTIONS = {
     "n": ("n", _parse_n_list, "comma-separated grid sizes (intervals per side)"),
-    "k": ("k", _parse_positive, "anisotropy ratio for exam4"),
+    "k": ("k", _parse_positive, "anisotropy ratio for exam4 (default 10)"),
     "m": ("fixed_m", _parse_half_width, "fixed stencil half-width instead of auto selection"),
     "tol": ("tol", _parse_positive, "solver relative-residual tolerance"),
     "max_iter": ("max_iter", _parse_iteration_cap, "solver iteration cap"),
@@ -181,6 +181,8 @@ def build_problem(cfg: RunConfig) -> Problem:
         if cfg.inline:
             raise ConfigError("give either a built-in problem name or inline expressions, not both")
         return built_in_problem(cfg.problem, k=cfg.k)
+    if cfg.k is not None:
+        raise ConfigError("inline problems take no k; only exam4 does")
     missing = [key for key in ("a", "b", "c") if key not in cfg.inline]
     if missing:
         raise ConfigError(f"inline problem needs tensor entries a, b, c (missing {missing})")
@@ -245,7 +247,7 @@ def _describe_plan(rep: Reporter, name: str, n: int, plan, mesh) -> None:
     if not mesh.passed:
         rep.emit(
             f"N={n}: warning: stencils exceed the guaranteed neighborhood; "
-            "the matrix audit below is the monotonicity certificate"
+            "only the matrix audit certifies monotonicity"
         )
 
 

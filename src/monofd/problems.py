@@ -57,12 +57,15 @@ def problem_from_expressions(name: str, abc, f=None, g=None, exact_u=None) -> Pr
     return Problem(name=name, field=field, f=parse_expression(f), g=parse_expression(g))
 
 
-def built_in_problem(name: str, k: float = 10.0) -> Problem:
-    """Built-in problem ``name``; exam4 takes the anisotropy ratio k."""
+def built_in_problem(name: str, k: float | None = None) -> Problem:
+    """Built-in problem ``name``; only exam4 takes the anisotropy ratio k,
+    10 when None."""
     if name not in _PROBLEMS:
         raise ConfigError(f"unknown problem {name!r}; choices: {BUILT_IN_PROBLEMS}")
+    if k is not None and name != "exam4":
+        raise ConfigError(f"problem {name!r} takes no k; only exam4 does")
     abc, keywords = _PROBLEMS[name]
-    k = float(k)
+    k = 10.0 if k is None else float(k)
     words = {"k": repr(k), "k1": repr(k - 1.0), "t": "pi*sin(x)*cos(y)"}
     label = f"exam4-k{k:g}" if name == "exam4" else name
     return problem_from_expressions(label, [entry.format(**words) for entry in abc], **keywords)

@@ -104,6 +104,17 @@ class TestConfigHandling:
         assert run_cli("solve", "exam3", "--n", "4", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_k_only_for_exam4(self, tmp_path, capsys, inline):
+        # A k that no problem reads is refused, not recorded in the manifest.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=0\nc=1\nf=0\ng=x\n")
+        problem = ("--config", str(cfg)) if inline else ("exam1",)
+        code = run_cli("solve", *problem, "--n", "4", "--k", "5" if inline else "1e300", "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "only exam4" in err
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "out-is-file"])
     def test_unreadable_config_or_out(self, tmp_path, capsys, case):
         cfg, out = tmp_path / "run.cfg", tmp_path / "o"
