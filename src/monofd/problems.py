@@ -1,4 +1,5 @@
-"""Built-in benchmark problems and the constructor they share with config files.
+"""Built-in benchmark problems, the constructor they share with config files,
+and manufactured problems (the source derived from an exact solution).
 
 exam1 probes the discrete maximum principle (zero source, oscillatory
 Dirichlet data); exam2 reuses the exam1 tensor with a manufactured solution;
