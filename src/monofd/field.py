@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FieldValidationError
 from .expressions import Expression, parse_expression
@@ -38,9 +37,10 @@ __all__ = [
 
 DOMAIN_DIAMETER = math.sqrt(2.0)
 
-# Cap on each window array ProbeTable.ball_bounds gathers per node chunk;
-# 1 MB keeps a chunk's windows cache-resident (8 MB measured ~25% slower).
-_CHUNK_BYTES = 1 << 20
+# Cap on the running-reduction tables ProbeTable.ball_bounds builds for one
+# sign-masked ratio and one chunk of center rows; 2 MB measured fastest
+# (1 MB and 4 MB slower, 8 MB about 20% slower).
+_CHUNK_BYTES = 1 << 21
 
 # Finest probe step accepted; its lattice already holds 1e8 samples per array.
 _MIN_PROBE_STEP = 1e-4
@@ -85,11 +85,11 @@ def _lattice(probe_step: float) -> np.ndarray:
 
 
 class ProbeTable:
-    """Dense lattice samples of the tensor entries and planning ratios, and
-    the field's planning ``constants`` computed from them.
+    """Dense lattice samples of b and of the planning ratios b/a and c/b,
+    and the field's planning ``constants`` computed from all three entries.
 
-    Axis 0 indexes y, axis 1 indexes x.  The planner slices rectangular
-    windows out of these arrays, so everything is precomputed once per field.
+    Axis 0 indexes y, axis 1 indexes x.  The planner reduces the ratios over
+    balls around its nodes, so they are computed once per field.
     Raises FieldValidationError unless the field is finite and uniformly
     positive definite on the lattice.
     """
@@ -103,11 +103,11 @@ class ProbeTable:
         # A field that is non-finite somewhere may divide by zero or overflow
         # here; compute_constants rejects it with a FieldValidationError.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.a, self.b, self.c = field.tensor_arrays(X, Y)
-            self.det = self.a * self.c - self.b**2
-        self.ratio_g, self.ratio_f = slope_ratios(self.a, self.b, self.c)
+            a, self.b, c = field.tensor_arrays(X, Y)
+        self.ratio_g, self.ratio_f = slope_ratios(a, self.b, c)
         del X, Y  # kept alive through compute_constants, they made prepare slower
-        self.constants = compute_constants(self)
+        # Planning reads only b and the ratios; a and c go with this frame.
+        self.constants = compute_constants(self, a, c)
 
     def window_intervals(self, x0: float, y0: float, radius: float):
         """Raw (A, B, C, D) over lattice points strictly inside the ball.
@@ -119,61 +119,126 @@ class ProbeTable:
         bounds, _ = self.ball_bounds(np.array([x0], dtype=float), np.array([y0], dtype=float), radius)
         return tuple(float(v[0]) for v in bounds)
 
-    def ball_bounds(self, x0: np.ndarray, y0: np.ndarray, radius: float):
-        """(A, B, C, D) of ``window_intervals`` for every center at once.
+    def ball_bounds(self, xc: np.ndarray, yc: np.ndarray, radius: float):
+        """(A, B, C, D) of ``window_intervals`` for the centers (xc[u], yc[v]).
 
+        Centers run in row-major order, v outer, as a grid's linear order.
         Returns the four bound arrays and a boolean array marking the balls
-        that hold no probe sample.  The sign-masked ratios are built once
-        over the lattice box the balls touch; fixed-size windows of them are
-        gathered in node chunks of at most ``_CHUNK_BYTES`` per array and
-        reduced under each node's disk mask.
+        that hold no probe sample.  A lattice sample is in a ball when
+        dx2 + dy2 < radius**2, over the squared offsets of
+        ``_squared_offsets``.  For a row of centers, dy2 is least at the
+        center lattice row and does not fall away from it, and the float sum
+        is monotone in dy2, so in each lattice column a ball holds a prefix
+        of the arm running down from the center lattice row and a prefix of
+        the arm running up from the row above it.  Their lengths come from a
+        search over the sorted distinct dx2, and each column's bound from
+        two lookups in running reductions of the sign-masked ratios along
+        the two arms.  The tables cover a chunk of center rows at a time, at
+        most ``_CHUNK_BYTES`` per ratio; no per-node mask is built.
         """
         xs, step, last = self.xs, self.step, self.xs.size - 1
-        ilo = np.maximum(0, np.ceil((x0 - radius) / step)).astype(np.intp)
-        ihi = np.minimum(last, np.floor((x0 + radius) / step)).astype(np.intp)
-        jlo = np.maximum(0, np.ceil((y0 - radius) / step)).astype(np.intp)
-        jhi = np.minimum(last, np.floor((y0 + radius) / step)).astype(np.intp)
-        bounds = [np.full(x0.shape, fill) for _, fill in SLOPE_REDUCTIONS]
-        empty = np.ones(x0.shape, dtype=bool)
-        live = np.flatnonzero((ilo <= ihi) & (jlo <= jhi))
-        if live.size == 0:
-            return tuple(bounds), empty
-        i0, i1 = int(ilo[live].min()), int(ihi[live].max())
-        j0, j1 = int(jlo[live].min()), int(jhi[live].max())
-        box = np.s_[j0 : j1 + 1, i0 : i1 + 1]
+
+        def index_range(centers):
+            lo = np.maximum(0, np.ceil((centers - radius) / step)).astype(np.intp)
+            hi = np.minimum(last, np.floor((centers + radius) / step)).astype(np.intp)
+            return lo, hi
+
+        ilo, ihi = index_range(xc)
+        jlo, jhi = index_range(yc)
+        bounds = [np.full((yc.size, xc.size), fill) for _, fill in SLOPE_REDUCTIONS]
+        empty = np.ones((yc.size, xc.size), dtype=bool)
+        rows = np.flatnonzero(jlo <= jhi)
+        if rows.size == 0 or not (ilo <= ihi).any():
+            return tuple(out.reshape(-1) for out in bounds), empty.reshape(-1)
+        jlo, jhi = jlo[rows], jhi[rows]
+        i0, j0 = int(ilo[ilo <= ihi].min()), int(jlo.min())
+        box = np.s_[j0 : int(jhi.max()) + 1, i0 : int(ihi.max()) + 1]
         b = self.b[box]
         parts = masked_ratios(self.ratio_g[box], self.ratio_f[box], b > 0.0, b < 0.0)
-        wx = int((ihi - ilo)[live].max()) + 1
-        wy = int((jhi - jlo)[live].max()) + 1
-        views = [sliding_window_view(part, (wy, wx)) for part in parts]
-        # Window origins inside the box: at the node's own box unless that
-        # would run past the box's far edge.
-        si = np.minimum(ilo - i0, i1 - i0 + 1 - wx)
-        sj = np.minimum(jlo - j0, j1 - j0 + 1 - wy)
-        dx2, x_of = self._squared_offsets(x0[live], ilo[live], ihi[live], i0 + si[live], wx)
-        dy2, y_of = self._squared_offsets(y0[live], jlo[live], jhi[live], j0 + sj[live], wy)
-        r2 = radius**2
-        chunk = max(1, _CHUNK_BYTES // (8 * wx * wy))
-        for start in range(0, live.size, chunk):
-            span = slice(start, start + chunk)
-            nodes = live[span]
-            # The scalar test dx**2 + dy**2 < radius**2, negated.
-            outside = dx2[x_of[span], None, :] + dy2[y_of[span], :, None] >= r2
-            empty[nodes] = outside.all(axis=(1, 2))
-            for out, view, (ufunc, fill) in zip(bounds, views, SLOPE_REDUCTIONS):
-                window = view[sj[nodes], si[nodes]]
-                np.copyto(window, fill, where=outside)
-                out[nodes] = ufunc.reduce(window, axis=(1, 2))
-        return tuple(bounds), empty
+        height, width = b.shape
 
-    def _squared_offsets(self, centers, lo, hi, origin, width):
-        """Squared lattice offsets from each distinct center coordinate over
-        its window of ``width`` indices from ``origin``; inf outside the
-        index range [lo, hi].  Returns them and each center's row in them."""
-        values, first, row = np.unique(centers, return_index=True, return_inverse=True)
-        idx = origin[first, None] + np.arange(width)
-        inside = (idx >= lo[first, None]) & (idx <= hi[first, None])
-        return np.where(inside, self.xs[idx] - values[:, None], np.inf) ** 2, row
+        r2 = radius**2
+        # Window samples run along axis 0 from here on, so the reduction over
+        # a window is elementwise over contiguous slabs.
+        dx2 = self._squared_offsets(xc, ilo, ihi).T
+        values, rank = np.unique(dx2, return_inverse=True)
+        rank = rank.reshape(dx2.shape)
+        # Box column of each window sample; one past a window's end has
+        # dx2 = inf and reads only a table's fill row.
+        col = np.clip(ilo - i0 + np.arange(dx2.shape[0])[:, None], 0, width - 1)[:, :, None]
+
+        dy2 = self._squared_offsets(yc[rows], jlo, jhi)
+        center = dy2.argmin(axis=1)
+        steps = np.arange(dy2.shape[1])[:, None]
+        lengths, arm_rows = [], []
+        for at in (center - steps, center + 1 + steps):
+            inside = (at >= 0) & (at < dy2.shape[1])
+            offsets = np.where(inside, dy2[np.arange(rows.size), np.clip(at, 0, dy2.shape[1] - 1)], np.inf)
+            size = int(np.isfinite(offsets).sum(axis=0).max())
+            lengths.append(_prefix_lengths(values, offsets[:size], r2))
+            # The arm's box rows, clipped past its end, where no lookup reaches.
+            arm_rows.append(np.clip(jlo - j0 + at[:size], 0, height - 1))
+
+        chunk = max(1, _CHUNK_BYTES // (8 * width * sum(arm.shape[0] + 1 for arm in arm_rows)))
+        for start in range(0, rows.size, chunk):
+            span = slice(start, start + chunk)
+            block = rows[span]
+            # How many samples each window column takes from each arm, then
+            # where the arm's running reductions hold them.
+            taken = [_arm_prefixes(n[:, span], rank, values.size) for n in lengths]
+            # The down arm starts at the least dy2: a column without a
+            # sample from it has none from the up arm either.
+            empty[block] = (taken[0] == 0).all(axis=0).T
+            lookup = [((n * block.size + np.arange(block.size)) * width + col).reshape(-1) for n in taken]
+            for out, part, (ufunc, fill) in zip(bounds, parts, SLOPE_REDUCTIONS):
+                down, up = (_running(ufunc, fill, part, arm[:, span]).take(i) for arm, i in zip(arm_rows, lookup))
+                out[block] = ufunc.reduce(ufunc(down, up).reshape(taken[0].shape), axis=0).T
+        return tuple(out.reshape(-1) for out in bounds), empty.reshape(-1)
+
+    def _squared_offsets(self, centers, lo, hi):
+        """Squared lattice offsets (xs[i] - center)**2 over each center's
+        index range [lo, hi], from lo on; inf past hi, to the widest range."""
+        idx = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
+        offsets = self.xs[np.minimum(idx, self.xs.size - 1)] - centers[:, None]
+        return np.where(idx <= hi[:, None], offsets, np.inf) ** 2
+
+
+def _prefix_lengths(values, offsets, r2):
+    """For each entry d of ``offsets``, how many of the sorted ``values``
+    satisfy value + d < r2: a prefix of them, as the float sum is monotone."""
+    lo = np.zeros(offsets.shape, dtype=np.intp)
+    hi = np.full(offsets.shape, values.size)
+    for _ in range(values.size.bit_length()):
+        mid = (lo + hi) // 2
+        ok = (lo < hi) & (values[np.minimum(mid, values.size - 1)] + offsets < r2)
+        lo, hi = np.where(ok, mid + 1, lo), np.where(ok, hi, mid)
+    return lo
+
+
+def _arm_prefixes(lengths, rank, size):
+    """For every rank in ``rank`` and every arm (a column of ``lengths``),
+    how many of the arm's entries k have rank < lengths[k]; the arms run
+    along the last axis of the result.
+
+    ``lengths`` holds ``_prefix_lengths`` of ``size`` sorted values; it is
+    non-increasing along each arm, so the entries counted are a prefix.
+    """
+    arms = lengths.shape[1]
+    counts = np.bincount((lengths * arms + np.arange(arms)).reshape(-1), minlength=(size + 1) * arms)
+    # above[a, v]: entries of arm v whose length exceeds a
+    above = np.cumsum(counts.reshape(size + 1, arms)[:0:-1], axis=0)[::-1]
+    return above[rank]
+
+
+def _running(ufunc, fill, part, arm_rows):
+    """Running reductions of ``part`` along the box rows of each arm (a
+    column of ``arm_rows``): entry p reduces an arm's first p rows, with
+    ``fill`` for p = 0."""
+    table = np.empty((arm_rows.shape[0] + 1, arm_rows.shape[1], part.shape[1]))
+    table[0] = fill
+    for p, at in enumerate(arm_rows):
+        ufunc(table[p], part[at], out=table[p + 1])
+    return table
 
 
 def _axis_lipschitz(values: np.ndarray, step: float) -> float:
@@ -183,20 +248,28 @@ def _axis_lipschitz(values: np.ndarray, step: float) -> float:
     derivative; their sum bounds the Euclidean gradient norm from above, so
     the estimate errs on the conservative (smaller radius) side.
     """
-    d0 = np.abs(np.diff(values, axis=0)).max() if values.shape[0] > 1 else 0.0
-    d1 = np.abs(np.diff(values, axis=1)).max() if values.shape[1] > 1 else 0.0
-    return float((d0 + d1) / step)
+    def largest_step(axis):
+        if values.shape[axis] < 2:
+            return 0.0
+        # max |diff| without an array of absolute values
+        d = np.diff(values, axis=axis)
+        return max(abs(d.max()), abs(d.min()))
+
+    return float((largest_step(0) + largest_step(1)) / step)
 
 
-def compute_constants(table: ProbeTable) -> SplittingConstants:
-    """Planning constants of ``table.field`` from its probe-lattice samples.
+def compute_constants(table: ProbeTable, a: np.ndarray, c: np.ndarray) -> SplittingConstants:
+    """Planning constants of ``table.field`` from its probe-lattice samples
+    ``a``, ``table.b`` and ``c``.
 
     Raises FieldValidationError, naming the probe with the smallest
     determinant, unless every sample is finite with a, c and a*c - b^2
     positive.  A constant field has zero Lipschitz estimates; its radius is
     the domain diameter.
     """
-    a, b, c, det = table.a, table.b, table.c, table.det
+    b = table.b
+    with np.errstate(invalid="ignore", over="ignore"):
+        det = a * c - b**2
     # A NaN or infinite a, b or c makes det non-finite as well.
     finite = np.isfinite(det)
     if not finite.all() or a.min() <= 0.0 or c.min() <= 0.0 or det.min() <= 0.0:

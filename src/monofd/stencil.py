@@ -379,11 +379,12 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
     m_cap = stencil_upper_bound(table.constants)
     if fixed_m is not None and not 1 <= fixed_m <= MAX_HALF_WIDTH:
         raise PlanningError(f"fixed stencil half-width must lie in [1, {MAX_HALF_WIDTH}], got {fixed_m}")
-    X, Y = grid.interior_coords()
     specials = _SpecialPoints(table.field, grid)
-    bounds, empty = table.ball_bounds(X, Y, table.constants.radius)
+    # The interior coordinates of either axis, as in grid.interior_coords.
+    axis = np.arange(1, grid.n) / grid.n
+    bounds, empty = table.ball_bounds(axis, axis, table.constants.radius)
     m, i1, i2 = _select(bounds, m_cap, DEFAULT_SAFETY, fixed_m)
-    every = np.arange(X.size)
+    every = np.arange(grid.interior_count)
     fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, m, i1, i2))
 
     # The midpoints are exact members of the merged sample set, so strict
