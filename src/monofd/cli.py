@@ -7,8 +7,8 @@ Each run option is one entry of ``_OPTIONS`` (config key, RunConfig field,
 parser, flag help); its flag wins over its config entry, and both go through
 the same parser, which checks the value's range.  ``main`` builds and
 prepares the problem once and passes it to the command.  Every run writes a
-manifest with the resolved configuration, the field constants, plan
-summaries, and library versions.
+manifest with the resolved configuration, the built problem's name, the
+field constants, plan summaries, and library versions.
 
 Exit codes: 0 success, 2 config error (a value out of range, an unreadable
 config file, an output directory that cannot be created and a tensor field
@@ -392,7 +392,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(args)
         rep = Reporter(cfg, args.command, argv)
-        prepared = prepare(build_problem(cfg), cfg.probe_step)
+        problem = build_problem(cfg)
+        # The built problem's name carries what the config line may leave
+        # at its default, such as exam4's k.
+        rep.emit(f"problem: {problem.name}")
+        prepared = prepare(problem, cfg.probe_step)
         _describe_constants(rep, prepared)
         command, _ = _COMMANDS[args.command]
         return command(cfg, rep, prepared)

@@ -150,6 +150,19 @@ class TestPlanCommand:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "versions:" in manifest and "probe_step=0.002" in manifest
 
+    @pytest.mark.parametrize("argv, code, name", [
+        # exam4 without --k runs with k = 10; planning fails at this probe step
+        (("exam4", "--n", "4", "--probe-step", "0.05"), EXIT_PLANNING, "exam4-k10"),
+        (("--config", "{cfg}", "--n", "4"), EXIT_OK, "custom"),
+    ])
+    def test_manifest_names_the_built_problem(self, tmp_path, capsys, argv, code, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=0\nc=1\nf=0\ng=x\nprobe_step=0.05\n")
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        assert run_cli("plan", *argv, "--out", str(tmp_path / "o")) == code
+        capsys.readouterr()
+        assert f"\nproblem: {name}\n" in (tmp_path / "o" / "manifest.txt").read_text()
+
     def test_manifest_reports_plan_counters(self, tmp_path):
         # exam4 k=100: no planning ball holds a probe sample, so every node
         # is replanned on its edge midpoints.
