@@ -3,16 +3,22 @@
 a = 1 + p**2 and c = 1 + q**2 for small trigonometric sums p and q, and
 b = t*sqrt(a*c)*sin(r) with |t| <= 0.95, so a*c - b**2 >= (1 - t**2)*a*c > 0
 everywhere.  With f = 0 the discrete maximum principle bounds the solution
-by the extrema of the Dirichlet data g.
+by the extrema of the Dirichlet data g.  A strictly diagonally dominant
+tensor, |b| < min(a, c), admits the 3x3 stencil at every node.
 """
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monofd.assembly import assemble, audit_m_matrix
 from monofd.errors import PlanningError
+from monofd.grid import build_grid
 from monofd.problems import problem_from_expressions
+from monofd.stencil import plan_grid
 from monofd.verification import boundary_extrema, prepare, run_case
 
 
@@ -51,3 +57,37 @@ def test_random_spd_field_plans_audits_and_keeps_the_maximum_principle(abc, g, n
     low, high = boundary_extrema(problem, case.grid)
     # the maximum principle up to the rounding of the direct solve
     assert low - 1e-10 <= case.solution.min() and case.solution.max() <= high + 1e-10
+
+
+@st.composite
+def dominant_tensor(draw):
+    """Grammar text (a, b, c) with |b| < min(a, c) everywhere: a = 1 + p**2,
+    c = 1 + q**2 and b = t*sin(s) with |t| <= 0.99."""
+    a = f"1 + ({draw(trig_sum())})**2"
+    c = f"1 + ({draw(trig_sum())})**2"
+    b = f"{draw(st.floats(-0.99, 0.99))!r}*sin({draw(trig_sum(terms=1))})"
+    return a, b, c
+
+
+@given(abc=dominant_tensor(), n=st.integers(4, 41))
+@settings(max_examples=40, deadline=None)
+def test_diagonally_dominant_tensor_plans_a_3x3_stencil(abc, n):
+    # The paper's exception: b/a < 1 < c/b where b > 0 and c/b < -1 < b/a
+    # where b < 0, so slopes +-1 lie strictly inside every node's intervals
+    # and the 3x3 stencil alone plans every node into an M-matrix.
+    problem = problem_from_expressions("dominant", abc, f="0", g="0")
+    table, grid = prepare(problem, probe_step=0.01).table, build_grid(n)
+    plan = plan_grid(grid, table)
+    plus, minus = plan.a_sup > -np.inf, plan.d_inf < np.inf
+    assert (plan.a_sup[plus] < 1.0).all() and (plan.b_inf[plus] > 1.0).all()
+    assert (plan.c_sup[minus] < -1.0).all() and (plan.d_inf[minus] > -1.0).all()
+    assert audit_m_matrix(assemble(problem, plan)).passed
+    plan = plan_grid(grid, table, fixed_m=1)
+    assert plan.max_m == 1 and audit_m_matrix(assemble(problem, plan)).passed
+
+
+@pytest.mark.xfail(strict=True, reason="DEFAULT_SAFETY shrinks the interval (0.97, 3.09) to (1.02, 3.04), "
+                   "so the margin pass takes m = 2 (slope 2) before the pass without it tries m = 1")
+def test_diagonally_dominant_tensor_auto_plan_is_3x3():
+    problem = problem_from_expressions("dominant", ("1", "0.97", "3"), f="0", g="0")
+    assert plan_grid(build_grid(11), prepare(problem, probe_step=0.01).table).max_m == 1
