@@ -90,6 +90,16 @@ def test_kernel_matches_gather_on_planned_grids(request, case):
     assert_kernel_matches_gather(table, grid_axis(int(n)), grid_axis(int(n)), table.constants.radius)
 
 
+@pytest.mark.parametrize("pitches", [1, 2, 5])
+def test_kernel_matches_gather_with_samples_on_the_ball_edge(pitches):
+    # On a 1/16 lattice, centers at lattice points and radii of whole pitches
+    # put samples exactly on the circle (5**2 = 3**2 + 4**2), where the
+    # strict test dx2 + dy2 < radius**2 decides.
+    table = ProbeTable(field_from_expressions("edge", "2 + sin(x)", "x - y", "2 + cos(y)"), 1 / 16)
+    axis = np.arange(17) / 16
+    assert_kernel_matches_gather(table, axis, axis, pitches / 16)
+
+
 # Centers anywhere in the square, and on a 1/200 lattice: the points of every
 # probe lattice drawn below whose cell count divides 200, and their midpoints.
 center = st.one_of(st.floats(0.0, 1.0), st.integers(0, 200).map(lambda i: i / 200))
