@@ -73,7 +73,6 @@ class RunConfig:
     k: float | None = None
     fixed_m: int | None = None
     tol: float = 1e-10
-    max_iter: int | None = None
     probe_step: float = 1e-3
     out: Path = Path("out")
     force: bool = False
@@ -93,13 +92,6 @@ def _parse_half_width(text: str) -> int:
     if not 1 <= m <= MAX_HALF_WIDTH:
         raise ValueError(f"must lie in [1, {MAX_HALF_WIDTH}]")
     return m
-
-
-def _parse_iteration_cap(text: str) -> int:
-    cap = int(text)
-    if cap < 1:
-        raise ValueError("must be >= 1")
-    return cap
 
 
 def _parse_positive(text: str) -> float:
@@ -124,7 +116,6 @@ _OPTIONS = {
     "k": ("k", _parse_positive, "anisotropy ratio for exam4 (default 10)"),
     "m": ("fixed_m", _parse_half_width, "fixed stencil half-width instead of auto selection"),
     "tol": ("tol", _parse_positive, "solver relative-residual tolerance"),
-    "max_iter": ("max_iter", _parse_iteration_cap, "solver iteration cap"),
     "probe_step": ("probe_step", float, "field sampling pitch"),
     "out": ("out", Path, "output directory (default ./out)"),
     "force": ("force", _parse_switch, "proceed past an audit failure"),
@@ -273,7 +264,6 @@ def _run_one(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
         prepared,
         n,
         tol=cfg.tol,
-        max_iter=cfg.max_iter,
         fixed_m=cfg.fixed_m,
         require_audit=not cfg.force,
         require_convergence=False,
@@ -327,7 +317,6 @@ def cmd_converge(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
         prepared,
         cfg.n,
         tol=cfg.tol,
-        max_iter=cfg.max_iter,
         fixed_m=cfg.fixed_m,
         require_audit=not cfg.force,
     )

@@ -103,7 +103,6 @@ def run_case(
     prepared: Prepared,
     n: int,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     fixed_m: int | None = None,
     require_audit: bool = True,
     require_convergence: bool = True,
@@ -115,7 +114,7 @@ def run_case(
     audit = audit_m_matrix(system)
     if require_audit and not audit.passed:
         raise AuditError(f"matrix audit failed at N={n}: {audit}")
-    solution, report = solve(system, tol=tol, max_iter=max_iter)
+    solution, report = solve(system, tol=tol)
     if require_convergence and not report.converged:
         raise SolverError(
             f"solver did not reach tol={tol} at N={n}: residual {report.final_relative_residual}"

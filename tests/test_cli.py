@@ -104,7 +104,13 @@ class TestConfigHandling:
         assert run_cli("solve", "exam3", "--n", "4", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
 
-    @pytest.mark.parametrize("inline, k", [(False, "1e300"), (True, "5")])
+    def test_no_iteration_cap_flag(self, tmp_path):
+        # The solver has no iteration cap; argparse refuses the flag.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "exam3", "--n", "4", "--max-iter", "5", "--out", str(tmp_path))
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("inline, k",[(False, "1e300"), (True, "5")])
     def test_k_only_for_exam4(self, tmp_path, capsys, inline, k):
         # A k that no problem reads is refused, not recorded in the manifest.
         cfg = tmp_path / "run.cfg"
