@@ -68,7 +68,7 @@ def solve(system: SparseSystem, tol: float = 1e-10):
             x, solves = np.zeros(system.dimension), 0
         else:
             x, solves = _refine(system, lu, dtype)
-            del lu
+            del lu  # free it before the float64 factor is built
         rel = residual(system, x)
         if rel <= tol:
             break

@@ -110,7 +110,7 @@ class TestConfigHandling:
             run_cli("solve", "exam3", "--n", "4", "--max-iter", "5", "--out", str(tmp_path))
         assert exc.value.code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("inline, k",[(False, "1e300"), (True, "5")])
+    @pytest.mark.parametrize("inline, k", [(False, "1e300"), (True, "5")])
     def test_k_only_for_exam4(self, tmp_path, capsys, inline, k):
         # A k that no problem reads is refused, not recorded in the manifest.
         cfg = tmp_path / "run.cfg"
