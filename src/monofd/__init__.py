@@ -22,12 +22,7 @@ from .errors import (
     SolverError,
 )
 from .expressions import Expression, parse_expression
-from .field import (
-    DiffusionField,
-    ProbeTable,
-    SplittingConstants,
-    compute_constants,
-)
+from .field import DiffusionField, ProbeTable, SplittingConstants
 from .grid import Grid, build_grid
 from .problems import built_in_problem, manufactured_problem
 from .solver import SolveReport, residual, solve
@@ -35,9 +30,7 @@ from .splitting import AngleIntervals, slope_bounds
 from .stencil import (
     GridPlan,
     check_mesh_condition,
-    clip_arm,
     plan_grid,
-    select_stencil,
     stencil_upper_bound,
 )
 from .verification import (

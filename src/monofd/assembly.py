@@ -25,13 +25,13 @@ values surface as an undefined coefficient or in the audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError
+from .expressions import Expression
 from .field import DiffusionField
 from .grid import Grid
 from .splitting import GAMMA_TOLERANCE, axis_coefficients
@@ -40,18 +40,16 @@ from .stencil import GridPlan, clip_arms, direction_offsets
 
 @dataclass(frozen=True)
 class Problem:
-    """Boundary-value problem data: tensor field, source f, Dirichlet data g.
-
-    ``f``, ``g``, and ``exact_u`` must accept scalars or numpy arrays;
-    expression objects qualify.  ``exact_u`` is optional and only used by
+    """Boundary-value problem data: tensor field, source f, Dirichlet data g,
+    each an ``Expression``.  ``exact_u`` is optional and only used by
     verification studies.
     """
 
     name: str
     field: DiffusionField
-    f: Callable
-    g: Callable
-    exact_u: Callable | None = None
+    f: Expression
+    g: Expression
+    exact_u: Expression | None = None
 
 
 @dataclass
@@ -106,11 +104,6 @@ def directional_term_row(gamma_plus, gamma_minus, s_plus, s_minus):
     return w_minus, w_center, w_plus
 
 
-def _evaluate(fn, xs, ys) -> np.ndarray:
-    """``fn`` at the points (xs, ys) as a float array, constants broadcast."""
-    return np.broadcast_to(np.asarray(fn(xs, ys), dtype=float), np.shape(xs)).ravel()
-
-
 def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
     j, k = grid.node_from_linear(row)
     return AssemblyError(f"{message} at node (j={j}, k={k})", node=(j, k))
@@ -127,8 +120,8 @@ def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
     diagonal = (field.a, field.c)[which]
 
     def gamma(xs, ys):
-        d = _evaluate(diagonal, xs, ys)
-        return axis_coefficients(d, _evaluate(field.b, xs, ys), d, tan1, tan2)[which]
+        d = diagonal(xs, ys)
+        return axis_coefficients(d, field.b(xs, ys), d, tan1, tan2)[which]
 
     return gamma
 
@@ -136,7 +129,7 @@ def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
 def _diagonal_gamma(field: DiffusionField, slope, side: str):
     """gamma1 along directions of the given slopes; zero off their sign part."""
     part = np.maximum if side == "plus" else np.minimum
-    return lambda xs, ys: part(_evaluate(field.b, xs, ys), 0.0) * (1.0 / slope + slope)
+    return lambda xs, ys: part(field.b(xs, ys), 0.0) * (1.0 / slope + slope)
 
 
 def _check_nonnegative(values: np.ndarray, rows: np.ndarray, grid: Grid, label: str):
@@ -160,7 +153,7 @@ def assemble(problem: Problem, plan: GridPlan) -> SparseSystem:
     tan1, tan2 = plan.tan1, plan.tan2
     entries = []  # (rows, cols, values) triplet arrays
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rhs = _evaluate(problem.f, J / grid.n, K / grid.n).copy()
+        rhs = problem.f(J / grid.n, K / grid.n).copy()
         # gamma0 along x and gamma2 along y at every node
         for which, (label, dx, dy) in enumerate((("gamma-x", 1, 0), ("gamma-y", 0, 1))):
             _assemble_direction(entries, rhs, problem, grid, every, J, K, dx, dy,
@@ -173,9 +166,8 @@ def assemble(problem: Problem, plan: GridPlan) -> SparseSystem:
                 _assemble_direction(entries, rhs, problem, grid, rows, J[rows], K[rows], dx, dy,
                                     _diagonal_gamma(field, tan[rows], side), f"gamma-{side}")
     rows, cols, vals = map(np.concatenate, zip(*entries))
+    # tocsr sums duplicates and sorts indices
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(every.size, every.size)).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
     return SparseSystem(matrix, rhs)
 
 
@@ -205,7 +197,7 @@ def _assemble_direction(entries, rhs, problem, grid, rows, j, k, dx, dy, gamma, 
         entries.append((rows[interior], col[interior], w[interior]))
         bnd = ~interior
         # weight * g moves across the equals sign
-        np.subtract.at(rhs, rows[bnd], w[bnd] * _evaluate(problem.g, x[bnd], y[bnd]))
+        np.subtract.at(rhs, rows[bnd], w[bnd] * problem.g(x[bnd], y[bnd]))
 
 
 def audit_m_matrix(system: SparseSystem) -> MatrixAudit:

@@ -11,8 +11,9 @@ manifest with the resolved configuration, the built problem's name, the
 field constants, plan summaries, and library versions.
 
 Exit codes: 0 success, 2 config error (a value out of range, an unreadable
-config file, an output directory that cannot be created and a tensor field
-that is not finite and positive definite included), 3 planning
+config file, an output directory that cannot be created, an expression
+nested deeper than ``expressions.MAX_DEPTH`` and a tensor field that is not
+finite and positive definite included), 3 planning
 failure, 4 audit failure (an assembly error, a negative or undefined
 coefficient at some node, included), 5 solver non-convergence.
 """

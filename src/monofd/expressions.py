@@ -7,7 +7,9 @@ Powers ``u ** c`` with a constant exponent are accepted as a convenience.
 The grammar is closed under differentiation except for ``abs``, so
 manufactured right-hand sides can be produced symbolically.
 
-Evaluation accepts scalars or numpy arrays and broadcasts like numpy.
+Calling an expression on scalars or numpy arrays returns a read-only
+float64 array with the broadcast shape of the points; a constant tree
+costs no point-sized buffer.  Callers that write into a result copy it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import ConfigError
 
 __all__ = [
     "Expression",
+    "MAX_DEPTH",
     "NonDifferentiableError",
     "parse_expression",
     "negative_divergence",
@@ -42,6 +45,14 @@ _UNARY_FUNCTIONS = {
 
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# Deepest accepted nesting of a parsed expression, counted in expression
+# nodes (``x`` is 1, ``sin(x)`` 2).  Building, evaluating and printing a
+# tree recurse along its depth, and a manufactured source is about 3 times
+# as deep as its exact solution: a quotient chain this deep needs about 730
+# of Python's default 1000 frames for that, which leaves room for callers.
+# The built-in problems are at most 8 deep.
+MAX_DEPTH = 80
+
 
 class Expression:
     """Immutable expression tree node.
@@ -57,7 +68,10 @@ class Expression:
         raise NotImplementedError
 
     def __call__(self, x, y):
-        return self.evaluate(x, y)
+        """The value at the points (x, y): a read-only float64 array of
+        their broadcast shape, a broadcast view where the value is shared."""
+        values = np.asarray(self.evaluate(x, y), dtype=float)
+        return np.broadcast_to(values, np.broadcast_shapes(np.shape(x), np.shape(y)))
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -234,12 +248,30 @@ def negative_divergence(a, b, c, u):
 
 
 def parse_expression(text: str) -> Expression:
-    """Parse ``text`` into an Expression, rejecting anything off-grammar."""
+    """Parse ``text`` into an Expression, rejecting anything off-grammar or
+    nested deeper than ``MAX_DEPTH``."""
+    too_deep = f"expression {text[:40]!r}... nests deeper than the limit of {MAX_DEPTH}"
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ConfigError(too_deep) from exc
+    depth = _depth(tree.body)
+    if depth > MAX_DEPTH:
+        raise ConfigError(f"{too_deep} (depth {depth})")
     return _convert(tree.body, text)
+
+
+def _depth(root: ast.expr) -> int:
+    """Nesting depth of the expression nodes from ``root`` down, by an
+    explicit stack rather than recursion."""
+    depth, stack = 0, [(root, 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((child, level + 1) for child in ast.iter_child_nodes(node) if isinstance(child, ast.expr))
+    return depth
 
 
 def _convert(node: ast.AST, text: str) -> Expression:

@@ -56,12 +56,9 @@ class DiffusionField:
     c: Expression
 
     def tensor_arrays(self, x, y):
-        """Vectorized entries; domain checking is the caller's concern."""
-        shape = np.broadcast(x, y).shape
-        a = np.broadcast_to(np.asarray(self.a(x, y), dtype=float), shape).copy()
-        b = np.broadcast_to(np.asarray(self.b(x, y), dtype=float), shape).copy()
-        c = np.broadcast_to(np.asarray(self.c(x, y), dtype=float), shape).copy()
-        return a, b, c
+        """Entries (a, b, c) at the points, read-only as ``Expression``
+        returns them; domain checking is the caller's concern."""
+        return self.a(x, y), self.b(x, y), self.c(x, y)
 
 
 @dataclass(frozen=True)

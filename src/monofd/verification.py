@@ -128,7 +128,7 @@ def _on_boundary(fn, grid: Grid) -> np.ndarray:
     side = np.arange(grid.n + 1) / grid.n
     zeros, ones = np.zeros_like(side), np.ones_like(side)
     points = ((side, zeros), (side, ones), (zeros, side), (ones, side))
-    return np.concatenate([np.broadcast_to(np.asarray(fn(x, y), dtype=float), side.shape) for x, y in points])
+    return np.concatenate([fn(x, y) for x, y in points])
 
 
 def boundary_extrema(problem: Problem, grid: Grid) -> tuple[float, float]:
@@ -139,7 +139,7 @@ def boundary_extrema(problem: Problem, grid: Grid) -> tuple[float, float]:
 
 def _check_zero_source(problem: Problem, grid: Grid) -> None:
     X, Y = grid.interior_coords()
-    worst = float(np.abs(np.asarray(problem.f(X, Y), dtype=float)).max())
+    worst = float(np.abs(problem.f(X, Y)).max())
     if worst > 1e-13:
         raise ConfigError(
             f"extrema table requires a zero source term; max |f| on nodes is {worst:.3e}"
@@ -195,8 +195,7 @@ def convergence_study(prepared: Prepared, n_list, **case_kwargs):
         _check_boundary_data(problem, grid)
         case = run_case(prepared, n, **case_kwargs)
         X, Y = grid.interior_coords()
-        exact = np.asarray(problem.exact_u(X, Y), dtype=float)
-        err = float(np.abs(case.solution - exact).max())
+        err = float(np.abs(case.solution - problem.exact_u(X, Y)).max())
         order = None
         prev = rows[-1] if rows else None
         if prev is not None and prev.max_error > 0.0 and err > 0.0:
@@ -234,7 +233,7 @@ def solution_on_grid(problem: Problem, grid: Grid, interior: np.ndarray) -> np.n
     """
     side = np.arange(grid.n + 1) / grid.n
     X, Y = np.meshgrid(side, side)
-    full = np.asarray(np.broadcast_to(problem.g(X, Y), X.shape), dtype=float).copy()
+    full = problem.g(X, Y).copy()
     full[1:-1, 1:-1] = interior.reshape(grid.n - 1, grid.n - 1)
     return full
 

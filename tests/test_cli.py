@@ -11,6 +11,7 @@ import pytest
 import monofd
 
 from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_PLANNING, EXIT_SOLVER, main, make_parser
+from monofd.expressions import MAX_DEPTH
 
 
 def run_cli(*argv):
@@ -133,6 +134,27 @@ class TestConfigHandling:
         assert run_cli("plan", "--config", str(cfg), "--n", "4", "--out", str(out)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [
+        "exact_u=" + " + ".join(["x"] * 1500),
+        "a=" + "+".join(["9"] * 3000),  # too deep for ast.parse itself
+        "exact_u=" + "-" * 2000 + "x",
+        "exact_u=" + "*".join(["sin(x)"] * 350),
+    ], ids=["sum-1500", "nines-3000", "minus-2000", "product-350"])
+    def test_too_deep_expression_is_config_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"a=1\nb=0\nc=1\nexact_u=x\n{entry}\n")
+        code = run_cli("solve", "--config", str(cfg), "--n", "4", "--probe-step", "0.05", "--out", str(tmp_path))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err and f"limit of {MAX_DEPTH}" in err
+
+    def test_expression_at_the_depth_limit_solves(self, tmp_path):
+        # a product chain is the deepest a manufactured source grows, about 3x
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=0\nc=1\nexact_u=" + "*".join(["sin(x)"] * (MAX_DEPTH - 1)) + "\n")
+        code = run_cli("solve", "--config", str(cfg), "--n", "4", "--probe-step", "0.05", "--out", str(tmp_path))
+        assert code == EXIT_OK
 
     def test_readme_lists_every_flag(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

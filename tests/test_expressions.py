@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monofd.errors import ConfigError
-from monofd.expressions import NonDifferentiableError, parse_expression
+from monofd.expressions import MAX_DEPTH, NonDifferentiableError, parse_expression
+from monofd.field import field_from_expressions
+from monofd.problems import problem_from_expressions
 
 
 def test_parse_arithmetic():
@@ -97,3 +99,62 @@ def test_linear_diff_property(a, b, x, y):
     e = parse_expression(f"{a!r} * x + {b!r} * y")
     assert e.diff("x")(x, y) == pytest.approx(a)
     assert e.diff("y")(x, y) == pytest.approx(b)
+
+
+_GRID = np.meshgrid(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))
+_POINTS = {
+    "scalar": (0.25, 0.5),
+    "1-D": (np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)),
+    "meshgrid": _GRID,
+    "array-scalar": (np.linspace(0.0, 1.0, 5), 0.5),
+    "scalar-row": (0.5, np.linspace(0.0, 1.0, 5)[None, :]),
+    "integer-array": (np.arange(4), np.arange(4)[:, None]),
+}
+
+
+@pytest.mark.parametrize("text", ["3", "x", "4*sin(2*pi*x*y) + y/(1 + x**2)"])
+@pytest.mark.parametrize("points", sorted(_POINTS))
+def test_call_returns_read_only_float_array_of_broadcast_shape(text, points):
+    x, y = _POINTS[points]
+    value = parse_expression(text)(x, y)
+    assert isinstance(value, np.ndarray)
+    assert value.dtype == np.float64
+    assert value.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+    assert not value.flags.writeable
+
+
+def test_call_values_match_evaluate():
+    e = parse_expression("4*sin(2*pi*x*y) + y/(1 + x**2)")
+    X, Y = _GRID
+    assert np.array_equal(e(X, Y), e.evaluate(X, Y))
+    assert np.array_equal(parse_expression("x")(np.arange(3), 0), [0.0, 1.0, 2.0])
+
+
+def test_constant_tensor_entry_is_a_broadcast_view():
+    X, Y = np.meshgrid(np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 101))
+    a, b, c = field_from_expressions("mixed", "2", "x*y", "1 + x").tensor_arrays(X, Y)
+    assert a.strides == (0, 0) and np.all(a == 2.0)
+    assert all(v.shape == X.shape and not v.flags.writeable for v in (a, b, c))
+    assert b.strides != (0, 0) and c.strides != (0, 0)
+
+
+def _quotient_chain(depth):
+    """``1/(1+x)/(1+x)/...`` nested ``depth`` expression nodes deep."""
+    return "1/" + "/".join(["(1+x)"] * (depth - 2))
+
+
+def test_depth_limit_refuses_one_level_more():
+    with pytest.raises(ConfigError, match=f"limit of {MAX_DEPTH} \\(depth {MAX_DEPTH + 1}\\)"):
+        parse_expression(_quotient_chain(MAX_DEPTH + 1))
+
+
+def test_manufactured_source_at_the_depth_limit_evaluates_and_prints():
+    # Quotient and product chains deepen about 3x through the source, the
+    # most of any shape; every entry at the limit still fits the default
+    # recursion limit here, with the test runner's frames on the stack.
+    chain = _quotient_chain(MAX_DEPTH)
+    problem = problem_from_expressions("deep", [chain, chain, chain], exact_u=chain)
+    xs = np.linspace(0.1, 0.9, 5)
+    assert np.all(np.isfinite(problem.f(xs, xs)))
+    assert parse_expression(str(problem.g)) == problem.g
+    assert str(problem.f).startswith("(")
