@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError
-from .expressions import Expression
+from .expressions import Expression, evaluate
 from .field import DiffusionField
 from .grid import Grid
 from .splitting import GAMMA_TOLERANCE, axis_coefficients
@@ -112,16 +112,17 @@ def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
 def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
     """gamma0 (which=0) or gamma2 (which=1) at one point per node, from its slopes.
 
-    Evaluates only b and the diagonal entry the term uses (a for gamma0, c
-    for gamma2), passed to ``axis_coefficients`` in both diagonal slots.
+    Evaluates only the diagonal entry the term uses (a for gamma0, c for
+    gamma2) and b, in one call, and passes the diagonal entry to
+    ``axis_coefficients`` in both diagonal slots.
     nan where b has a sign for which the plan has no direction: a plan
     inconsistency, which ``_check_nonnegative`` reports.
     """
-    diagonal = (field.a, field.c)[which]
+    roots = ((field.a, field.c)[which], field.b)
 
     def gamma(xs, ys):
-        d = diagonal(xs, ys)
-        return axis_coefficients(d, field.b(xs, ys), d, tan1, tan2)[which]
+        d, b = evaluate(roots, xs, ys)
+        return axis_coefficients(d, b, d, tan1, tan2)[which]
 
     return gamma
 

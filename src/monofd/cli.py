@@ -13,7 +13,8 @@ field constants, plan summaries, and library versions.
 Exit codes: 0 success, 2 config error (a value out of range, an unreadable
 config file, an output directory that cannot be created, an expression
 nested deeper than ``expressions.MAX_DEPTH`` and a tensor field that is not
-finite and positive definite included), 3 planning
+finite and positive definite included, and a run that needs more memory
+than the host gives, such as a grid too large for it), 3 planning
 failure, 4 audit failure (an assembly error, a negative or undefined
 coefficient at some node, included), 5 solver non-convergence.
 """
@@ -199,7 +200,10 @@ class Reporter:
             % (__version__, np.__version__, scipy.__version__, sys.version.split()[0])
         )
         options = " ".join(f"{name}={getattr(cfg, name)}" for name, _, _ in _OPTIONS.values())
-        self.emit(f"config: problem={cfg.problem!r} {options} inline={cfg.inline}")
+        # An expression over 60 characters is echoed cut short, with its length.
+        inline = {key: text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+                  for key, text in cfg.inline.items()}
+        self.emit(f"config: problem={cfg.problem!r} {options} inline={inline}")
 
     def emit(self, line: str) -> None:
         print(line)
@@ -375,6 +379,18 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# stderr label and exit code of each failure ``main`` reports; the first match wins.
+_FAILURES = (
+    ((ConfigError, FieldValidationError), "config error", EXIT_CONFIG),
+    (PlanningError, "planning failure", EXIT_PLANNING),
+    (AssemblyError, "assembly failure", EXIT_AUDIT),
+    (AuditError, "audit failure", EXIT_AUDIT),
+    (SolverError, "solver failure", EXIT_SOLVER),
+    (MemoryError, "memory error", EXIT_CONFIG),
+    (MonofdError, "error", 1),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = make_parser().parse_args(argv)
@@ -390,24 +406,10 @@ def main(argv: list[str] | None = None) -> int:
         _describe_constants(rep, prepared)
         command, _ = _COMMANDS[args.command]
         return command(cfg, rep, prepared)
-    except (ConfigError, FieldValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PlanningError as exc:
-        print(f"planning failure: {exc}", file=sys.stderr)
-        return EXIT_PLANNING
-    except AssemblyError as exc:
-        print(f"assembly failure: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
-    except AuditError as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return EXIT_AUDIT
-    except (SolverError,) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MonofdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (MonofdError, MemoryError) as exc:
+        label, code = next((label, code) for kinds, label, code in _FAILURES if isinstance(exc, kinds))
+        print(f"{label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return code
     finally:
         if rep is not None:
             rep.flush()

@@ -10,12 +10,17 @@ manufactured right-hand sides can be produced symbolically.
 Calling an expression on scalars or numpy arrays returns a read-only
 float64 array with the broadcast shape of the points; a constant tree
 costs no point-sized buffer.  Callers that write into a result copy it.
+``evaluate`` does the same for several trees at once.  It runs a loop, not
+a recursion, over the distinct subtrees of the trees, so a subexpression
+repeated within or across them is computed once per call.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,7 @@ from .errors import ConfigError
 __all__ = [
     "Expression",
     "MAX_DEPTH",
+    "evaluate",
     "NonDifferentiableError",
     "parse_expression",
     "negative_divergence",
@@ -43,26 +49,26 @@ _UNARY_FUNCTIONS = {
     "abs": np.abs,
 }
 
+_BINARY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # Deepest accepted nesting of a parsed expression, counted in expression
-# nodes (``x`` is 1, ``sin(x)`` 2).  Building, evaluating and printing a
-# tree recurse along its depth, and a manufactured source is about 3 times
-# as deep as its exact solution: a quotient chain this deep needs about 730
-# of Python's default 1000 frames for that, which leaves room for callers.
-# The built-in problems are at most 8 deep.
+# nodes (``x`` is 1, ``sin(x)`` 2).  Building (parsing, ``diff``) and
+# printing a tree recurse along its depth; evaluating it does not.  A
+# manufactured source is about 3 times as deep as its exact solution: a
+# quotient chain this deep needs about 730 of Python's default 1000 frames
+# to build and print that, which leaves room for callers.  The built-in
+# problems are at most 8 deep.
 MAX_DEPTH = 80
 
 
 class Expression:
     """Immutable expression tree node.
 
-    Subclasses implement ``evaluate`` and ``diff``; trees come from
-    ``parse_expression`` and are combined by the folding constructors below.
+    Subclasses implement ``diff``; trees come from ``parse_expression`` and
+    are combined by the folding constructors below.
     """
-
-    def evaluate(self, x, y):
-        raise NotImplementedError
 
     def diff(self, name: str) -> "Expression":
         raise NotImplementedError
@@ -70,8 +76,7 @@ class Expression:
     def __call__(self, x, y):
         """The value at the points (x, y): a read-only float64 array of
         their broadcast shape, a broadcast view where the value is shared."""
-        values = np.asarray(self.evaluate(x, y), dtype=float)
-        return np.broadcast_to(values, np.broadcast_shapes(np.shape(x), np.shape(y)))
+        return evaluate((self,), x, y)[0]
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -80,9 +85,6 @@ class Expression:
 @dataclass(frozen=True, repr=False)
 class Const(Expression):
     value: float
-
-    def evaluate(self, x, y):
-        return self.value
 
     def diff(self, name):
         return Const(0.0)
@@ -94,9 +96,6 @@ class Const(Expression):
 @dataclass(frozen=True, repr=False)
 class Var(Expression):
     name: str
-
-    def evaluate(self, x, y):
-        return x if self.name == "x" else y
 
     def diff(self, name):
         return Const(1.0 if name == self.name else 0.0)
@@ -110,17 +109,6 @@ class BinOp(Expression):
     op: str  # one of + - * /
     left: Expression
     right: Expression
-
-    def evaluate(self, x, y):
-        a = self.left.evaluate(x, y)
-        b = self.right.evaluate(x, y)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
 
     def diff(self, name):
         u, v = self.left, self.right
@@ -143,9 +131,6 @@ class Pow(Expression):
     base: Expression
     exponent: float
 
-    def evaluate(self, x, y):
-        return self.base.evaluate(x, y) ** self.exponent
-
     def diff(self, name):
         du = self.base.diff(name)
         return _mul(_mul(Const(self.exponent), _pow(self.base, self.exponent - 1.0)), du)
@@ -158,9 +143,6 @@ class Pow(Expression):
 class Func(Expression):
     fname: str
     arg: Expression
-
-    def evaluate(self, x, y):
-        return _UNARY_FUNCTIONS[self.fname](self.arg.evaluate(x, y))
 
     def diff(self, name):
         du = self.arg.diff(name)
@@ -180,6 +162,77 @@ class Func(Expression):
 
     def __str__(self):
         return f"{self.fname}({self.arg})"
+
+
+def evaluate(roots, x, y) -> tuple:
+    """Each tree of ``roots`` at the points (x, y), as ``Expression.__call__``
+    returns it.  Each distinct subtree is computed once, by the operation a
+    node-by-node visit applies to the same operands, so the values are
+    bit-identical to that visit's; a value is dropped after its last reader.
+    """
+    cache = vars(roots[0]).setdefault("_programs", {})
+    key = tuple(map(id, roots))
+    # An entry holds its roots: in a copied or unpickled tree a key may name other objects.
+    if key not in cache or any(a is not b for a, b in zip(cache[key][0], roots)):
+        cache[key] = tuple(roots), _compile(roots)
+    steps, outputs = cache[key][1]
+    values = [x, y]
+    for fn, args, dead in steps:
+        values.append(fn(*[values[i] for i in args]))
+        for i in dead:
+            values[i] = None
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return tuple(np.broadcast_to(np.asarray(values[i], dtype=float), shape) for i in outputs)
+
+
+def _compile(roots):
+    """Post-order program over the distinct subtrees of ``roots``, built with
+    an explicit stack: the steps (function, argument slots, slots read for
+    the last time), step i filling slot i + 2 after x and y, and the slot of
+    each root.  Subtrees merge on function and argument slots, constants on
+    their bits, so -0.0 and 0.0, equal under ==, stay apart.
+    """
+    merged, steps, slots = {"x": 0, "y": 1}, [], {}  # key -> slot, id(node) -> slot
+
+    def slot(key, fn, args=()):
+        if key not in merged:
+            merged[key] = len(merged)
+            steps.append((fn, args))
+        return merged[key]
+
+    def constant(value):
+        # operator.pos returns a float itself; unlike a lambda, it pickles.
+        return slot((type(value), np.array(value).tobytes()), functools.partial(operator.pos, value))
+
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if id(node) in slots:
+            continue
+        if isinstance(node, Var):
+            slots[id(node)] = merged[node.name]
+            continue
+        if isinstance(node, Const):
+            slots[id(node)] = constant(node.value)
+            continue
+        if isinstance(node, BinOp):
+            fn, operands = _BINARY_OPERATORS[node.op], (node.left, node.right)
+        elif isinstance(node, Pow):
+            fn, operands = operator.pow, (node.base,)
+        else:
+            fn, operands = _UNARY_FUNCTIONS[node.fname], (node.arg,)
+        pending = [e for e in operands if id(e) not in slots]
+        if pending:
+            stack += [node, *reversed(pending)]
+            continue
+        args = tuple(slots[id(e)] for e in operands)
+        if isinstance(node, Pow):
+            args += (constant(node.exponent),)
+        slots[id(node)] = slot((fn, *args), fn, args)
+    outputs = tuple(slots[id(root)] for root in roots)
+    last = {i: at for at, (_, args) in enumerate(steps) for i in args}
+    dead = [{i for i in args if last[i] == at} - set(outputs) for at, (_, args) in enumerate(steps)]
+    return [(*step, gone) for step, gone in zip(steps, dead)], outputs
 
 
 def _is_const(e: Expression, v=None) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FieldValidationError
-from .expressions import Expression, parse_expression
+from .expressions import Expression, evaluate, parse_expression
 from .splitting import SLOPE_REDUCTIONS, masked_ratios, slope_ratios
 
 __all__ = [
@@ -57,8 +57,9 @@ class DiffusionField:
 
     def tensor_arrays(self, x, y):
         """Entries (a, b, c) at the points, read-only as ``Expression``
-        returns them; domain checking is the caller's concern."""
-        return self.a(x, y), self.b(x, y), self.c(x, y)
+        returns them, from one ``evaluate`` call that computes their shared
+        subexpressions once; domain checking is the caller's concern."""
+        return evaluate((self.a, self.b, self.c), x, y)
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,11 @@ class ProbeTable:
         xs = _lattice(probe_step)
         self.xs = xs
         self.step = xs[1] - xs[0]
-        X, Y = np.meshgrid(xs, xs)
         # A field that is non-finite somewhere may divide by zero or overflow
         # here; compute_constants rejects it with a FieldValidationError.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a, self.b, c = field.tensor_arrays(X, Y)
+            a, self.b, c = field.tensor_arrays(xs[None, :], xs[:, None])
         self.ratio_g, self.ratio_f = slope_ratios(a, self.b, c)
-        del X, Y  # kept alive through compute_constants, they made prepare slower
         # Planning reads only b and the ratios; a and c go with this frame.
         self.constants = compute_constants(self, a, c)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +11,7 @@ from monofd.assembly import (
     export_matrix,
     export_rhs,
 )
+from monofd import assembly as assembly_module, expressions
 from monofd.errors import AssemblyError
 from monofd.expressions import parse_expression
 from monofd.field import ProbeTable, field_from_expressions
@@ -233,7 +232,7 @@ class TestPlanInconsistency:
 
 
 class TestAxisMidpoints:
-    def test_axis_terms_read_the_planners_sample_points(self, prep_exam1):
+    def test_axis_terms_read_the_planners_sample_points(self, prep_exam1, monkeypatch):
         # The planner's sign check takes gamma0 at X +- h/2 and gamma2 at
         # Y +- h/2; the x term, the only one that reads a, and the y term, the
         # only one that reads c, must use the same points.
@@ -241,18 +240,18 @@ class TestAxisMidpoints:
         field = prep_exam1.problem.field
         plan = plan_grid(grid, prep_exam1.table)
         seen = {"a": set(), "c": set()}
+        original = expressions.evaluate
 
-        def recording(name):
-            entry = getattr(field, name)
+        def recording(roots, x, y):
+            for name in seen:
+                if any(root is getattr(field, name) for root in roots):
+                    seen[name].update(zip(np.ravel(x), np.ravel(y)))
+            return original(roots, x, y)
 
-            def read(x, y):
-                seen[name].update(zip(np.ravel(x), np.ravel(y)))
-                return entry(x, y)
-
-            return read
-
-        recorded = dataclasses.replace(field, a=recording("a"), c=recording("c"))
-        assemble(dataclasses.replace(prep_exam1.problem, field=recorded), plan)
+        # Every evaluation goes through evaluate, under either name.
+        for module in (expressions, assembly_module):
+            monkeypatch.setattr(module, "evaluate", recording)
+        assemble(prep_exam1.problem, plan)
         X, Y = grid.interior_coords()
         half = 0.5 * grid.h
         assert seen["a"] == set(zip(X - half, Y)) | set(zip(X + half, Y))

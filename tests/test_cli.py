@@ -10,6 +10,7 @@ import pytest
 
 import monofd
 
+from monofd import cli
 from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_PLANNING, EXIT_SOLVER, main, make_parser
 from monofd.expressions import MAX_DEPTH
 
@@ -146,8 +147,13 @@ class TestConfigHandling:
         cfg.write_text(f"a=1\nb=0\nc=1\nexact_u=x\n{entry}\n")
         code = run_cli("solve", "--config", str(cfg), "--n", "4", "--probe-step", "0.05", "--out", str(tmp_path))
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.count("\n") == 1 and "Traceback" not in err and f"limit of {MAX_DEPTH}" in err
+        # The manifest echoes the long entry cut short, with its length.
+        key, text = entry.split("=", 1)
+        config = next(line for line in out.splitlines() if line.startswith("config:"))
+        assert f"'{key}': '{text[:60]}... ({len(text)} chars)'" in config and len(config) < 300
+        assert f"\n{config}\n" in (tmp_path / "manifest.txt").read_text()
 
     def test_expression_at_the_depth_limit_solves(self, tmp_path):
         # a product chain is the deepest a manufactured source grows, about 3x
@@ -155,6 +161,16 @@ class TestConfigHandling:
         cfg.write_text("a=1\nb=0\nc=1\nexact_u=" + "*".join(["sin(x)"] * (MAX_DEPTH - 1)) + "\n")
         code = run_cli("solve", "--config", str(cfg), "--n", "4", "--probe-step", "0.05", "--out", str(tmp_path))
         assert code == EXIT_OK
+
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "prepare", exhausted)
+        assert run_cli("solve", "exam1", "--n", "4", "--out", str(tmp_path)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("memory error:")
+        assert (tmp_path / "manifest.txt").exists()
 
     def test_readme_lists_every_flag(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

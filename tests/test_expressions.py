@@ -1,12 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from monofd.errors import ConfigError
-from monofd.expressions import MAX_DEPTH, NonDifferentiableError, parse_expression
+from monofd.expressions import (
+    MAX_DEPTH,
+    BinOp,
+    Const,
+    NonDifferentiableError,
+    Pow,
+    Var,
+    evaluate,
+    negative_divergence,
+    parse_expression,
+)
 from monofd.field import field_from_expressions
 from monofd.problems import problem_from_expressions
 
@@ -123,11 +134,111 @@ def test_call_returns_read_only_float_array_of_broadcast_shape(text, points):
     assert not value.flags.writeable
 
 
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "atan": np.arctan, "abs": np.abs}
+
+
+def oracle(e, x, y):
+    """Reference value of ``e`` at (x, y): one recursive visit per tree node,
+    nothing shared, each node's operation applied to its operands' values."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x if e.name == "x" else y
+    if isinstance(e, BinOp):
+        a, b = oracle(e.left, x, y), oracle(e.right, x, y)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return a / b
+    if isinstance(e, Pow):
+        return oracle(e.base, x, y) ** e.exponent
+    return _FUNCTIONS[e.fname](oracle(e.arg, x, y))
+
+
+def oracle_call(e, x, y):
+    """``oracle`` under the call contract: a float64 array of the points'
+    broadcast shape."""
+    values = np.asarray(oracle(e, x, y), dtype=float)
+    return np.broadcast_to(values, np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
+def _bits(values):
+    return [(v.shape, np.ascontiguousarray(v).tobytes()) for v in values]
+
+
 def test_call_values_match_evaluate():
     e = parse_expression("4*sin(2*pi*x*y) + y/(1 + x**2)")
     X, Y = _GRID
-    assert np.array_equal(e(X, Y), e.evaluate(X, Y))
+    assert _bits([e(X, Y)]) == _bits([oracle_call(e, X, Y)])
     assert np.array_equal(parse_expression("x")(np.arange(3), 0), [0.0, 1.0, 2.0])
+
+
+def test_signed_zero_constants_stay_apart():
+    # -0.0 == 0.0, so a merge on value equality would give both trees one sign.
+    minus, plus = parse_expression("sin(-0.0)"), parse_expression("sin(0.0)")
+    assert minus == plus
+    values = evaluate((minus, plus), 0.5, 0.5)
+    assert [math.copysign(1.0, float(v)) for v in values] == [-1.0, 1.0]
+
+
+_AXIS = np.linspace(0.0, 1.0, 6)
+_PROPERTY_POINTS = {
+    "scalar": (0.25, 0.5),
+    "1-D": (np.linspace(0.0, 1.0, 7), np.linspace(1.0, 0.0, 7)),
+    "meshgrid": _GRID,
+    "axis-pair": (_AXIS[None, :], _AXIS[:, None]),
+}
+
+# Each form takes up to two earlier texts; unary forms ignore the second.
+_FORMS = ("({} + {})", "({} - {})", "({} * {})", "({} / {})", "sin({})", "cos({})",
+          "tan({})", "atan({})", "abs({})", "({}) ** 2", "({}) ** 0.5", "-({})")
+
+
+@st.composite
+def shared_texts(draw):
+    """Four grammar texts built from one growing pool of subtexts, so that
+    they repeat subtrees within and across each other."""
+    pool = ["x", "y", "0.0", "(-0.0)", "pi", "e", "2"]
+    for _ in range(draw(st.integers(1, 9))):
+        form = draw(st.sampled_from(_FORMS))
+        pool.append(form.format(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+    return [draw(st.sampled_from(pool[7:])) for _ in range(4)]
+
+
+def _outcome(run):
+    """Bits of the values ``run`` returns, or the type of what it raises."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return _bits(run())
+        except (ArithmeticError, TypeError) as exc:
+            return type(exc)
+
+
+@given(shared_texts())
+@settings(max_examples=150, deadline=None)
+def test_shared_evaluation_matches_the_oracle_bitwise(texts):
+    try:
+        roots = [parse_expression(text) for text in texts]
+        try:
+            roots.append(negative_divergence(*roots))
+        except NonDifferentiableError:
+            pass
+    except (ZeroDivisionError, OverflowError):
+        # Constant folding of a zero divisor or a huge power raises before
+        # any evaluation; not this property's concern.
+        assume(False)
+    for x, y in _PROPERTY_POINTS.values():
+        singles = [_outcome(lambda: [root(x, y)]) for root in roots]
+        assert singles == [_outcome(lambda: [oracle_call(root, x, y)]) for root in roots]
+        together = _outcome(lambda: evaluate(roots, x, y))
+        if all(isinstance(single, list) for single in singles):
+            assert together == [bits for single in singles for bits in single]
+        else:
+            assert isinstance(together, type)
 
 
 def test_constant_tensor_entry_is_a_broadcast_view():

@@ -4,7 +4,10 @@ a = 1 + p**2 and c = 1 + q**2 for small trigonometric sums p and q, and
 b = t*sqrt(a*c)*sin(r) with |t| <= 0.95, so a*c - b**2 >= (1 - t**2)*a*c > 0
 everywhere.  With f = 0 the discrete maximum principle bounds the solution
 by the extrema of the Dirichlet data g.  A strictly diagonally dominant
-tensor, |b| < min(a, c), admits the 3x3 stencil at every node.
+tensor, |b| < min(a, c), admits the 3x3 stencil at every node.  For a
+constant tensor the three-point conservative difference is exact on linear
+functions, on arms clipped at the boundary too, so a linear solution is
+reproduced to rounding.
 """
 
 import math
@@ -91,3 +94,21 @@ def test_diagonally_dominant_tensor_plans_a_3x3_stencil(abc, n):
 def test_diagonally_dominant_tensor_auto_plan_is_3x3():
     problem = problem_from_expressions("dominant", ("1", "0.97", "3"), f="0", g="0")
     assert plan_grid(build_grid(11), prepare(problem, probe_step=0.01).table).max_m == 1
+
+
+@st.composite
+def constant_spd_tensor(draw):
+    """Grammar text (a, b, c) of a constant SPD tensor: b = t*sqrt(a*c), |t| <= 0.95."""
+    a, c = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    return repr(a), repr(draw(st.floats(-0.95, 0.95)) * math.sqrt(a * c)), repr(c)
+
+
+@given(abc=constant_spd_tensor(), coefficients=st.tuples(*[st.floats(-5.0, 5.0)] * 3), n=st.integers(4, 41))
+@settings(max_examples=40, deadline=None)
+def test_linear_solution_is_reproduced_to_rounding(abc, coefficients, n):
+    p, q, r = coefficients
+    problem = problem_from_expressions("linear", abc, exact_u=f"{p!r} + {q!r}*x + {r!r}*y")
+    case = run_case(prepare(problem, probe_step=0.01), n)
+    X, Y = case.grid.interior_coords()
+    exact = problem.exact_u(X, Y)
+    assert np.abs(case.solution - exact).max() <= 1e-10 * np.abs(exact).max()
