@@ -112,9 +112,8 @@ def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
 def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
     """gamma0 (which=0) or gamma2 (which=1) at one point per node, from its slopes.
 
-    Evaluates only the diagonal entry the term uses (a for gamma0, c for
-    gamma2) and b, in one call, and passes the diagonal entry to
-    ``axis_coefficients`` in both diagonal slots.
+    Evaluates b and only the diagonal entry the term uses (a for gamma0, c
+    for gamma2), together, passed to ``axis_coefficients`` in both slots.
     nan where b has a sign for which the plan has no direction: a plan
     inconsistency, which ``_check_nonnegative`` reports.
     """

@@ -10,15 +10,15 @@ manufactured right-hand sides can be produced symbolically.
 Calling an expression on scalars or numpy arrays returns a read-only
 float64 array with the broadcast shape of the points; a constant tree
 costs no point-sized buffer.  Callers that write into a result copy it.
-``evaluate`` does the same for several trees at once.  It runs a loop, not
-a recursion, over the distinct subtrees of the trees, so a subexpression
-repeated within or across them is computed once per call.
+``evaluate`` does the same for several trees at once, by a loop rather
+than a recursion; given more than one, it computes each distinct subtree
+of theirs once.
 """
 
 from __future__ import annotations
 
 import ast
-import functools
+import collections
 import math
 import operator
 from dataclasses import dataclass
@@ -166,73 +166,50 @@ class Func(Expression):
 
 def evaluate(roots, x, y) -> tuple:
     """Each tree of ``roots`` at the points (x, y), as ``Expression.__call__``
-    returns it.  Each distinct subtree is computed once, by the operation a
-    node-by-node visit applies to the same operands, so the values are
-    bit-identical to that visit's; a value is dropped after its last reader.
+    returns it, by a loop over a post-order program rather than a recursion.
+    Several roots merge equal subtrees, each computed once; one root is
+    walked node by node, so it holds no more values than a recursive visit.
+    A value is dropped after its last reader.  Each step applies a recursive
+    visit's operation to the same operands: the values are bit-identical.
     """
-    cache = vars(roots[0]).setdefault("_programs", {})
-    key = tuple(map(id, roots))
-    # An entry holds its roots: in a copied or unpickled tree a key may name other objects.
-    if key not in cache or any(a is not b for a, b in zip(cache[key][0], roots)):
-        cache[key] = tuple(roots), _compile(roots)
-    steps, outputs = cache[key][1]
-    values = [x, y]
-    for fn, args, dead in steps:
-        values.append(fn(*[values[i] for i in args]))
-        for i in dead:
-            values[i] = None
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return tuple(np.broadcast_to(np.asarray(values[i], dtype=float), shape) for i in outputs)
-
-
-def _compile(roots):
-    """Post-order program over the distinct subtrees of ``roots``, built with
-    an explicit stack: the steps (function, argument slots, slots read for
-    the last time), step i filling slot i + 2 after x and y, and the slot of
-    each root.  Subtrees merge on function and argument slots, constants on
-    their bits, so -0.0 and 0.0, equal under ==, stay apart.
-    """
-    merged, steps, slots = {"x": 0, "y": 1}, [], {}  # key -> slot, id(node) -> slot
-
-    def slot(key, fn, args=()):
-        if key not in merged:
-            merged[key] = len(merged)
+    order, stack = [], list(roots)
+    while stack:  # each node before its operands, the right one first
+        order.append(_split(stack.pop()))
+        stack += order[-1][1]
+    slots, steps, done = {"x": 0, "y": 1}, [], []  # merge key -> slot; a stack of operand slots
+    for fn, operands, key in reversed(order):
+        args = tuple(done[len(done) - len(operands):])
+        del done[len(done) - len(operands):]
+        if key is None:
+            key = (fn, *args) if len(roots) > 1 else object()
+        if key not in slots:
+            slots[key] = len(slots)
             steps.append((fn, args))
-        return merged[key]
+        done.append(slots[key])
+    readers = collections.Counter(i for _, args in steps for i in args) + collections.Counter(done)
+    values = [x, y]
+    for fn, args in steps:
+        values.append(fn(*[values[i] for i in args]))
+        for i in args:
+            readers[i] -= 1
+            if not readers[i]:
+                values[i] = None
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return tuple(np.broadcast_to(np.asarray(values[i], dtype=float), shape) for i in done)
 
-    def constant(value):
-        # operator.pos returns a float itself; unlike a lambda, it pickles.
-        return slot((type(value), np.array(value).tobytes()), functools.partial(operator.pos, value))
 
-    stack = list(reversed(roots))
-    while stack:
-        node = stack.pop()
-        if id(node) in slots:
-            continue
-        if isinstance(node, Var):
-            slots[id(node)] = merged[node.name]
-            continue
-        if isinstance(node, Const):
-            slots[id(node)] = constant(node.value)
-            continue
-        if isinstance(node, BinOp):
-            fn, operands = _BINARY_OPERATORS[node.op], (node.left, node.right)
-        elif isinstance(node, Pow):
-            fn, operands = operator.pow, (node.base,)
-        else:
-            fn, operands = _UNARY_FUNCTIONS[node.fname], (node.arg,)
-        pending = [e for e in operands if id(e) not in slots]
-        if pending:
-            stack += [node, *reversed(pending)]
-            continue
-        args = tuple(slots[id(e)] for e in operands)
-        if isinstance(node, Pow):
-            args += (constant(node.exponent),)
-        slots[id(node)] = slot((fn, *args), fn, args)
-    outputs = tuple(slots[id(root)] for root in roots)
-    last = {i: at for at, (_, args) in enumerate(steps) for i in args}
-    dead = [{i for i in args if last[i] == at} - set(outputs) for at, (_, args) in enumerate(steps)]
-    return [(*step, gone) for step, gone in zip(steps, dead)], outputs
+def _split(node):
+    """A node's function and operands, and the merge key of a leaf: x and y
+    by name, constants by bits, so -0.0 and 0.0, equal under ==, stay apart."""
+    if isinstance(node, BinOp):
+        return _BINARY_OPERATORS[node.op], (node.left, node.right), None
+    if isinstance(node, Pow):
+        return operator.pow, (node.base, Const(node.exponent)), None
+    if isinstance(node, Func):
+        return _UNARY_FUNCTIONS[node.fname], (node.arg,), None
+    if isinstance(node, Var):
+        return None, (), node.name
+    return (lambda value=node.value: value), (), np.array(node.value).tobytes()
 
 
 def _is_const(e: Expression, v=None) -> bool:
@@ -351,13 +328,10 @@ def _convert(node: ast.AST, text: str) -> Expression:
             if not isinstance(exponent, Const):
                 raise ConfigError(f"exponent must be a constant in {text!r}")
             return _pow(_convert(node.left, text), exponent.value)
-        ops = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-        for klass, symbol in ops.items():
-            if isinstance(node.op, klass):
-                left = _convert(node.left, text)
-                right = _convert(node.right, text)
-                return {"+": _add, "-": _sub, "*": _mul, "/": _div}[symbol](left, right)
-        raise ConfigError(f"unsupported operator in {text!r}")
+        build = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}.get(type(node.op))
+        if build is None:
+            raise ConfigError(f"unsupported operator in {text!r}")
+        return build(_convert(node.left, text), _convert(node.right, text))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _UNARY_FUNCTIONS:
             raise ConfigError(f"unsupported function call in {text!r}")

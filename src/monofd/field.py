@@ -56,9 +56,8 @@ class DiffusionField:
     c: Expression
 
     def tensor_arrays(self, x, y):
-        """Entries (a, b, c) at the points, read-only as ``Expression``
-        returns them, from one ``evaluate`` call that computes their shared
-        subexpressions once; domain checking is the caller's concern."""
+        """Entries (a, b, c) at the points, read-only, from one ``evaluate``
+        call over the three trees; domain checking is the caller's concern."""
         return evaluate((self.a, self.b, self.c), x, y)
 
 

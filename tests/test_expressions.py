@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -182,6 +183,25 @@ def test_signed_zero_constants_stay_apart():
     assert minus == plus
     values = evaluate((minus, plus), 0.5, 0.5)
     assert [math.copysign(1.0, float(v)) for v in values] == [-1.0, 1.0]
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_root_holds_no_more_values_than_the_recursion():
+    # Sharing s = x*y + y in one tree would keep it alive while the product
+    # is built: five point arrays at once where the recursion holds four.
+    e = parse_expression("sin(x*y + y) * ((x + 1)*(y + 2) + cos(x*y + y))")
+    x = np.linspace(0.0, 1.0, 100_000)
+    y = x[::-1].copy()
+    limit = _traced_peak(lambda: oracle_call(e, x, y)) + x.nbytes // 2
+    assert _traced_peak(lambda: e(x, y)) <= limit
 
 
 _AXIS = np.linspace(0.0, 1.0, 6)
