@@ -20,18 +20,13 @@ class GridError(ConfigError):
 class FieldValidationError(MonofdError):
     """Diffusion tensor failed the positive-definiteness probe."""
 
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class PlanningError(MonofdError):
     """No admissible stencil exists for some node under the given cap."""
 
-    def __init__(self, message, node=None, intervals=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.intervals = intervals
 
 
 class PlanError(PlanningError):

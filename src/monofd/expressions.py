@@ -7,12 +7,14 @@ Powers ``u ** c`` with a constant exponent are accepted as a convenience.
 The grammar is closed under differentiation except for ``abs``, so
 manufactured right-hand sides can be produced symbolically.
 
-Calling an expression on scalars or numpy arrays returns a read-only
-float64 array with the broadcast shape of the points; a constant tree
-costs no point-sized buffer.  Callers that write into a result copy it.
-``evaluate`` does the same for several trees at once, by a loop rather
-than a recursion; given more than one, it computes each distinct subtree
-of theirs once.
+Folding constants and evaluating share one arithmetic, the float64
+operations of ``_BINARY_OPERATORS``, for scalar points too: ``1/0`` folds
+to inf and ``(-1)**0.5`` to nan, as they evaluate.  Calling an expression
+on scalars or numpy arrays returns a read-only float64 array with the
+broadcast shape of the points; a constant tree costs no point-sized
+buffer.  Callers that write into a result copy it.  ``evaluate`` does the
+same for several trees at once, by a loop rather than a recursion; given
+more than one, it computes each distinct subtree of theirs once.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ _UNARY_FUNCTIONS = {
     "abs": np.abs,
 }
 
-_BINARY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BINARY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+                     "**": operator.pow}
 
 _NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -106,7 +109,7 @@ class Var(Expression):
 
 @dataclass(frozen=True, repr=False)
 class BinOp(Expression):
-    op: str  # one of + - * /
+    op: str  # one of + - * / **; the exponent of ** is a Const
     left: Expression
     right: Expression
 
@@ -119,24 +122,12 @@ class BinOp(Expression):
             return _sub(du, dv)
         if self.op == "*":
             return _add(_mul(du, v), _mul(u, dv))
-        # quotient rule; the grammar stays closed because / is in it
-        return _sub(_div(du, v), _div(_mul(u, dv), _mul(v, v)))
+        if self.op == "/":  # quotient rule; the grammar stays closed because / is in it
+            return _sub(_div(du, v), _div(_mul(u, dv), _mul(v, v)))
+        return _mul(_mul(v, _pow(u, _sub(v, Const(1.0)))), du)  # power rule, v constant
 
     def __str__(self):
         return f"({self.left} {self.op} {self.right})"
-
-
-@dataclass(frozen=True, repr=False)
-class Pow(Expression):
-    base: Expression
-    exponent: float
-
-    def diff(self, name):
-        du = self.base.diff(name)
-        return _mul(_mul(Const(self.exponent), _pow(self.base, self.exponent - 1.0)), du)
-
-    def __str__(self):
-        return f"({self.base} ** {self.exponent!r})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -172,6 +163,7 @@ def evaluate(roots, x, y) -> tuple:
     A value is dropped after its last reader.  Each step applies a recursive
     visit's operation to the same operands: the values are bit-identical.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     order, stack = [], list(roots)
     while stack:  # each node before its operands, the right one first
         order.append(_split(stack.pop()))
@@ -188,14 +180,15 @@ def evaluate(roots, x, y) -> tuple:
         done.append(slots[key])
     readers = collections.Counter(i for _, args in steps for i in args) + collections.Counter(done)
     values = [x, y]
-    for fn, args in steps:
-        values.append(fn(*[values[i] for i in args]))
-        for i in args:
-            readers[i] -= 1
-            if not readers[i]:
-                values[i] = None
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    return tuple(np.broadcast_to(np.asarray(values[i], dtype=float), shape) for i in done)
+    with np.errstate(all="ignore"):  # as in _fold; the field check and the audit report non-finite values
+        for fn, args in steps:
+            values.append(fn(*[values[i] for i in args]))
+            for i in args:
+                readers[i] -= 1
+                if not readers[i]:
+                    values[i] = None
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    return tuple(np.broadcast_to(values[i], shape) for i in done)
 
 
 def _split(node):
@@ -203,8 +196,6 @@ def _split(node):
     by name, constants by bits, so -0.0 and 0.0, equal under ==, stay apart."""
     if isinstance(node, BinOp):
         return _BINARY_OPERATORS[node.op], (node.left, node.right), None
-    if isinstance(node, Pow):
-        return operator.pow, (node.base, Const(node.exponent)), None
     if isinstance(node, Func):
         return _UNARY_FUNCTIONS[node.fname], (node.arg,), None
     if isinstance(node, Var):
@@ -216,36 +207,35 @@ def _is_const(e: Expression, v=None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
-# Smart constructors fold constants so derivative trees stay small.
+# Smart constructors keep derivative trees small; + - * fold two constants first.
+
+def _fold(op, u, v):
+    """``BinOp(op, u, v)``, or the Const the evaluator's float64 ``op`` gives two constants."""
+    if not (_is_const(u) and _is_const(v)):
+        return BinOp(op, u, v)
+    with np.errstate(all="ignore"):
+        return Const(float(_BINARY_OPERATORS[op](np.float64(u.value), np.float64(v.value))))
+
 
 def _add(u, v):
-    if _is_const(u) and _is_const(v):
-        return Const(u.value + v.value)
-    if _is_const(u, 0.0):
-        return v
-    if _is_const(v, 0.0):
-        return u
-    return BinOp("+", u, v)
+    if _is_const(u) != _is_const(v) and (_is_const(u, 0.0) or _is_const(v, 0.0)):  # one constant operand
+        return v if _is_const(u) else u
+    return _fold("+", u, v)
 
 
 def _sub(u, v):
-    if _is_const(u) and _is_const(v):
-        return Const(u.value - v.value)
-    if _is_const(v, 0.0):
+    if _is_const(v, 0.0) and not _is_const(u):
         return u
-    return BinOp("-", u, v)
+    return _fold("-", u, v)
 
 
 def _mul(u, v):
-    if _is_const(u) and _is_const(v):
-        return Const(u.value * v.value)
-    if _is_const(u, 0.0) or _is_const(v, 0.0):
-        return Const(0.0)
-    if _is_const(u, 1.0):
-        return v
-    if _is_const(v, 1.0):
-        return u
-    return BinOp("*", u, v)
+    if _is_const(u) != _is_const(v):  # one constant operand: its 0 and 1 rules
+        if _is_const(u, 0.0) or _is_const(v, 0.0):
+            return Const(0.0)
+        if _is_const(u, 1.0) or _is_const(v, 1.0):
+            return v if _is_const(u) else u
+    return _fold("*", u, v)
 
 
 def _div(u, v):
@@ -253,19 +243,15 @@ def _div(u, v):
         return Const(0.0)
     if _is_const(v, 1.0):
         return u
-    if _is_const(u) and _is_const(v):
-        return Const(u.value / v.value)
-    return BinOp("/", u, v)
+    return _fold("/", u, v)
 
 
-def _pow(u, exponent: float):
-    if exponent == 1.0:
+def _pow(u, v):
+    if _is_const(v, 1.0):
         return u
-    if exponent == 0.0:
+    if _is_const(v, 0.0):
         return Const(1.0)
-    if _is_const(u):
-        return Const(u.value**exponent)
-    return Pow(u, exponent)
+    return _fold("**", u, v)
 
 
 def negative_divergence(a, b, c, u):
@@ -307,7 +293,7 @@ def _depth(root: ast.expr) -> int:
 def _convert(node: ast.AST, text: str) -> Expression:
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            return Const(float(node.value))
+            return Const(float(str(node.value)))  # rounded from its digits: 10**400 written out is inf
         raise ConfigError(f"non-numeric constant in {text!r}")
     if isinstance(node, ast.Name):
         if node.id in ("x", "y"):
@@ -323,15 +309,13 @@ def _convert(node: ast.AST, text: str) -> Expression:
             return operand
         raise ConfigError(f"unsupported unary operator in {text!r}")
     if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Pow):
-            exponent = _convert(node.right, text)
-            if not isinstance(exponent, Const):
-                raise ConfigError(f"exponent must be a constant in {text!r}")
-            return _pow(_convert(node.left, text), exponent.value)
-        build = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div}.get(type(node.op))
+        build = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div, ast.Pow: _pow}.get(type(node.op))
         if build is None:
             raise ConfigError(f"unsupported operator in {text!r}")
-        return build(_convert(node.left, text), _convert(node.right, text))
+        left, right = _convert(node.left, text), _convert(node.right, text)
+        if build is _pow and not isinstance(right, Const):
+            raise ConfigError(f"exponent must be a constant in {text!r}")
+        return build(left, right)
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _UNARY_FUNCTIONS:
             raise ConfigError(f"unsupported function call in {text!r}")

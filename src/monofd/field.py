@@ -96,10 +96,7 @@ class ProbeTable:
         xs = _lattice(probe_step)
         self.xs = xs
         self.step = xs[1] - xs[0]
-        # A field that is non-finite somewhere may divide by zero or overflow
-        # here; compute_constants rejects it with a FieldValidationError.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            a, self.b, c = field.tensor_arrays(xs[None, :], xs[:, None])
+        a, self.b, c = field.tensor_arrays(xs[None, :], xs[:, None])
         self.ratio_g, self.ratio_f = slope_ratios(a, self.b, c)
         # Planning reads only b and the ratios; a and c go with this frame.
         self.constants = compute_constants(self, a, c)
@@ -271,9 +268,7 @@ def compute_constants(table: ProbeTable, a: np.ndarray, c: np.ndarray) -> Splitt
         worst = np.unravel_index(int(np.argmin(np.where(finite, det, -np.inf))), det.shape)
         point = (float(table.xs[worst[1]]), float(table.xs[worst[0]]))
         raise FieldValidationError(
-            f"field {table.field.name!r} is not finite and uniformly positive definite near {point}",
-            point=point,
-        )
+            f"field {table.field.name!r} is not finite and uniformly positive definite near {point}")
     alpha_bar = float(det.min())
     weight = np.abs(b) + 1.0
     alpha = float(max((a * weight).max(), (c * weight).max()))

@@ -45,8 +45,10 @@ def residual(system: SparseSystem, candidate: np.ndarray) -> float:
             f"candidate has shape {candidate.shape}, system dimension is {system.dimension}"
         )
     r = system.rhs - system.matrix @ candidate
-    rhs_norm = float(np.linalg.norm(system.rhs))
-    return float(np.linalg.norm(r)) / (rhs_norm if rhs_norm > 0.0 else 1.0)
+    # Both norms of the vectors times one power of two (<= 2**1023): exact, and no square over- or underflows.
+    scale = math.ldexp(1.0, min(-math.frexp(float(np.max(np.abs(system.rhs), initial=0.0)))[1], 1023))
+    rhs_norm = float(np.linalg.norm(system.rhs * scale))
+    return float(np.linalg.norm(r * scale)) / (rhs_norm if rhs_norm > 0.0 else 1.0)
 
 
 def solve(system: SparseSystem, tol: float = 1e-10):

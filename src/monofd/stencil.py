@@ -179,10 +179,7 @@ def _select(bounds, m_cap: int, safety: float, fixed_m: int | None):
 
 
 def _no_stencil(intervals: AngleIntervals, m_cap: int) -> PlanningError:
-    return PlanningError(
-        f"no admissible stencil with half-width <= {m_cap} for intervals {intervals}",
-        intervals=intervals,
-    )
+    return PlanningError(f"no admissible stencil with half-width <= {m_cap} for intervals {intervals}")
 
 
 def select_stencil(
@@ -345,8 +342,7 @@ class _SpecialPoints:
         pts_x = np.stack([X, X - half, X + half, X, X])
         pts_y = np.stack([Y, Y, Y, Y - half, Y + half])
         # Non-finite field values here are left to the checks below and to assembly.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
+        self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
         g, f = slope_ratios(self.a, self.b, self.c)
         self.bounds = slope_bounds(g, f, self.b > 0.0, self.b < 0.0, axis=0)
 
@@ -407,7 +403,7 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
             message = f"planning failed at node (j={j}, k={k}): {exc}"
         else:
             message = f"no sign-safe direction pair at node (j={j}, k={k})"
-        raise PlanningError(message, node=(j, k), intervals=intervals)
+        raise PlanningError(message, node=(j, k))
     for out, values in zip((m, i1, i2), replan):
         out[fallback] = values
     for ball, values in zip(bounds, merged):

@@ -1,17 +1,23 @@
 import argparse
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import monofd
 
 from monofd import cli
-from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_PLANNING, EXIT_SOLVER, main, make_parser
+from monofd.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_OK, EXIT_PLANNING, EXIT_SOLVER, _COMMANDS, main, make_parser
 from monofd.expressions import MAX_DEPTH
 
 
@@ -274,3 +280,124 @@ class TestStudyCommands:
         header = (out / "matrix_N21.txt").read_text().splitlines()[0]
         assert header.startswith("400 400 ")
         assert (out / "rhs_N21.txt").exists()
+
+
+# The front door, fed random config files and flags.  Grids stay at N <= 8
+# and the probe step at >= 0.05, so that no example allocates much.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),  # repr(inf) is a name, not a number
+    st.integers().map(str),
+    st.sampled_from(["1/0", "10.0**400", "(-1)**0.5", "1e308*10", "0/0", "1e400", "5e-324", "9" * 400]),
+)
+_LEAVES = st.one_of(st.sampled_from(["x", "y", "pi", "e"]), _NUMBERS)
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "tan", "atan", "abs"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, _LEAVES).map(lambda t: f"({t[0]})**({t[1]})"),
+        inner.map(lambda t: f"-({t})"),
+    )
+
+
+_EXPRESSIONS = st.one_of(
+    st.recursive(_LEAVES, _grow, max_leaves=20),
+    # long: a sum of hundreds of terms
+    st.lists(st.recursive(_LEAVES, _grow, max_leaves=3), min_size=50, max_size=400).map(" + ".join),
+    # deep: a call chain around the depth limit
+    st.tuples(st.integers(MAX_DEPTH - 5, MAX_DEPTH + 5), st.sampled_from(["sin", "atan", "abs", "-"]), _LEAVES)
+    .map(lambda t: f"{t[1]}(" * t[0] + t[2] + ")" * t[0]),
+    st.text(max_size=30),
+)
+_JUNK = st.sampled_from(["", "fine", "nan", "-inf", "1e999", "0x10", "yes"])
+# Config key -> values that make a sound run, and any values at all; grid
+# sizes and probe steps of both kinds keep to the limits above.
+_SOUND = {
+    "problem": ["exam1", "exam2", "exam3", "exam4"],
+    "a": ["1", "2 + sin(pi*x)", "1 + x**2"],
+    "b": ["0", "0.5*x*y", "0.3*sin(x + y)"],
+    "c": ["1", "2 + cos(y)", "1 + y/2"],
+    "f": ["0", "1", "x*y"],
+    "g": ["0", "x", "x**2 - y**2"],
+    "exact_u": ["x*y", "sin(pi*x)*sin(pi*y)", "x**0.5 + y"],
+    "n": ["3", "4,8", "2,5,7"], "k": ["10", "2.5"], "m": ["1", "3"], "tol": ["1e-10", "1e-6"],
+    "probe_step": ["0.05", "0.25"], "force": ["yes", "no"], "out": ["o"],
+}
+_WILD = {
+    **dict.fromkeys(["a", "b", "c", "f", "g", "exact_u"], _EXPRESSIONS),
+    "problem": st.one_of(st.sampled_from(["nonsense", ""]), st.text(max_size=10)),
+    "n": st.one_of(st.lists(st.integers(-1, 8).map(str), max_size=3).map(",".join), _JUNK),
+    "k": st.one_of(_NUMBERS, _JUNK),
+    "m": st.one_of(st.integers(-1, 2**31).map(str), _JUNK),
+    "tol": st.one_of(_NUMBERS, _JUNK),
+    "probe_step": st.one_of(st.floats(min_value=0.05).map(repr), _JUNK),
+    "force": st.one_of(st.sampled_from(["1", "on"]), _JUNK),
+    "out": st.text(max_size=10),
+}
+_MOSTLY = st.integers(0, 5).map(bool)  # True five times in six
+_STRAY_LINES = st.one_of(st.tuples(st.text(max_size=10), st.text(max_size=10)).map("=".join), st.text(max_size=20))
+
+
+@st.composite
+def _value(draw, key):
+    """Mostly a sound value of ``key``, so that runs reach the later stages."""
+    return draw(st.sampled_from(_SOUND[key]) if draw(_MOSTLY) else _WILD[key])
+
+
+@st.composite
+def front_door(draw):
+    """Config file bytes and the arguments of one run after its command,
+    without its --config and --out."""
+    sources = st.one_of(st.sampled_from([["f", "g"], ["exact_u"]]),
+                        st.lists(st.sampled_from(["f", "g", "exact_u"]), unique=True))
+    keys = ["problem"] if draw(st.booleans()) else ["a", "b", "c", *draw(sources)]
+    keys += ["n", "probe_step"]
+    if not draw(_MOSTLY):  # any key once more; a later line wins
+        keys.append(draw(st.sampled_from(sorted(_SOUND))))
+    lines = [f"{key}={draw(_value(key))}" for key in keys]
+    if not draw(_MOSTLY):  # an unknown key or a line without =
+        lines.append(draw(_STRAY_LINES))
+    data = "\n".join(draw(st.permutations(lines))).encode("utf-8", "surrogatepass")
+    if not draw(_MOSTLY):  # bytes that are not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    flags = [draw(st.sampled_from(sorted(_COMMANDS)))]
+    options = st.sampled_from(["n", "k", "m", "tol", "probe_step", "force"])
+    for key in draw(st.lists(options, unique=True, max_size=2)):
+        flags.append("--" + key.replace("_", "-") + ("" if key == "force" else "=" + draw(_value(key))))
+    if not draw(_MOSTLY):  # a problem name, even one that starts with -
+        flags += ["--", draw(_value("problem"))]
+    return data, flags
+
+
+def _run(command, *lines):
+    return "\n".join([*lines, "n=3,4", "probe_step=0.05"]).encode(), [command]
+
+
+@given(front_door())
+@example(_run("plan", "a=1/0 + 2", "b=0", "c=1", "f=0", "g=0"))
+@example(_run("plan", "a=10.0**400", "b=0", "c=1", "f=0", "g=0"))
+@example(_run("plan", "a=(-1)**0.5 + 2", "b=0", "c=1", "f=0", "g=0"))
+@example(_run("plan", "a=1e308*10", "b=0", "c=1", "f=0", "g=0"))
+@example(_run("solve", "a=1", "b=0", "c=1", "f=1/0", "g=0"))
+@example(_run("converge", "a=1", "b=0", "c=1", "exact_u=1/0 + x"))
+@example(_run("converge", "a=1", "b=0", "c=1", "exact_u=x / 1.3233175866470532e-210"))
+@example(_run("converge", "a=1", "b=0", "c=1", "exact_u=5e-324"))
+@settings(max_examples=100, deadline=None)
+def test_front_door_exits_with_a_documented_code_and_one_line(run):
+    data, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([flags[0], "--config", str(config), "--out", str(Path(tmp) / "o"), *flags[1:]])
+    # A warning would be a line of its own on a real run's stderr.
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PLANNING, EXIT_AUDIT, EXIT_SOLVER), lines
+    assert len(lines) <= (code != EXIT_OK), lines
+    assert "Traceback" not in err.getvalue()

@@ -21,6 +21,7 @@ from monofd.assembly import assemble, audit_m_matrix
 from monofd.errors import PlanningError
 from monofd.grid import build_grid
 from monofd.problems import problem_from_expressions
+from monofd.solver import residual
 from monofd.stencil import plan_grid
 from monofd.verification import boundary_extrema, prepare, run_case
 
@@ -57,6 +58,9 @@ def test_random_spd_field_plans_audits_and_keeps_the_maximum_principle(abc, g, n
         assert exc.node is not None, exc
         return
     assert case.audit.passed and case.audit.nonfinite_values == 0, case.audit
+    # the solver's post-condition, recomputed from the returned solution
+    assert case.report.method_name in ("float32-lu", "float64-lu")
+    assert residual(case.system, case.solution) == case.report.final_relative_residual <= 1e-10
     low, high = boundary_extrema(problem, case.grid)
     # the maximum principle up to the rounding of the direct solve
     assert low - 1e-10 <= case.solution.min() and case.solution.max() <= high + 1e-10

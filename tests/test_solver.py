@@ -50,6 +50,11 @@ def test_residual_definitions():
     u, report = solve(system, tol=1e-12)
     assert residual(system, u) <= 1e-12
     assert residual(system, np.zeros(3)) == pytest.approx(1.0)
+    # Data near either end of the float range: no overflow or underflow in the squares.
+    huge = SparseSystem(system.matrix, system.rhs * 2.0**1000)
+    assert residual(huge, u * 2.0**1000) == residual(system, u)
+    assert solve(huge, tol=1e-12)[1].converged
+    assert residual(SparseSystem(system.matrix, np.full(3, 5e-324)), np.zeros(3)) == 1.0
 
 
 def test_residual_unit_perturbation_is_column_norm():
