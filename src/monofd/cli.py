@@ -10,13 +10,15 @@ prepares the problem once and passes it to the command.  Every run writes a
 manifest with the resolved configuration, the built problem's name, the
 field constants, plan summaries, and library versions.
 
-Exit codes: 0 success, 2 config error (a value out of range, an unreadable
-config file, an output directory that cannot be created, an expression
-nested deeper than ``expressions.MAX_DEPTH`` and a tensor field that is not
-finite and positive definite included, and a run that needs more memory
-than the host gives, such as a grid too large for it), 3 planning
-failure, 4 audit failure (an assembly error, a negative or undefined
-coefficient at some node, included), 5 solver non-convergence.
+Exit codes: 0 success, 2 config error (a command line the parser refuses, a
+value out of range, an unreadable config file, an output directory that
+cannot be created, an expression nested deeper than
+``expressions.MAX_DEPTH`` and a tensor field that is not finite and positive
+definite included, and a run that needs more memory than the host gives,
+such as a grid too large for it), 3 planning failure, 4 audit failure (an
+assembly error, a negative or undefined coefficient at some node, included;
+``solve``, ``dmp``, ``converge`` and ``export`` audit), 5 solver
+non-convergence.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assembly import Problem, assemble, export_matrix, export_rhs
+from .assembly import MatrixAudit, Problem, assemble, export_matrix, export_rhs
 from .errors import (
     AssemblyError,
     AuditError,
@@ -47,6 +49,7 @@ from .problems import BUILT_IN_PROBLEMS, built_in_problem, problem_from_expressi
 from .stencil import MAX_HALF_WIDTH, check_mesh_condition, plan_grid, stencil_upper_bound
 from .verification import (
     Prepared,
+    checked_audit,
     convergence_study,
     dmp_row,
     prepare,
@@ -247,6 +250,15 @@ def _describe_plan(rep: Reporter, name: str, n: int, plan, mesh) -> None:
         )
 
 
+def _describe_audit(rep: Reporter, n: int, a: MatrixAudit) -> None:
+    rep.emit(
+        f"N={n}: audit: max_offdiag={a.max_offdiag:.3e} min_diag={a.min_diag:.6g} "
+        f"min_slack={a.min_dominance_slack:.3e} connected={a.connected} passed={a.passed}"
+    )
+    if not a.passed:  # only with --force: else the audit raised
+        rep.emit(f"N={n}: warning: audit failed but --force given; proceeding anyway")
+
+
 def _plan(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
     """Plan the N=n grid and report the plan."""
     plan = plan_grid(build_grid(n), prepared.table, fixed_m=cfg.fixed_m)
@@ -274,17 +286,11 @@ def _run_one(cfg: RunConfig, rep: Reporter, prepared: Prepared, n: int):
         require_convergence=False,
     )
     _describe_plan(rep, prepared.problem.name, n, case.plan, case.mesh_condition)
-    a = case.audit
-    rep.emit(
-        f"N={n}: audit: max_offdiag={a.max_offdiag:.3e} min_diag={a.min_diag:.6g} "
-        f"min_slack={a.min_dominance_slack:.3e} connected={a.connected} passed={a.passed}"
-    )
-    if not a.passed and cfg.force:
-        rep.emit(f"N={n}: warning: audit failed but --force given; solving anyway")
+    _describe_audit(rep, n, case.audit)
     r = case.report
     rep.emit(
-        f"N={n}: solve: method={r.method_name} iterations={r.iterations} "
-        f"residual={r.final_relative_residual:.3e} converged={r.converged}"
+        f"N={n}: solve: method={r.method_name} ordering={r.ordering} factor_nnz={r.factor_nnz} "
+        f"iterations={r.iterations} residual={r.final_relative_residual:.3e} converged={r.converged}"
     )
     if not r.converged:
         raise SolverError(f"solver did not converge at N={n} (residual {r.final_relative_residual:.3e})")
@@ -338,6 +344,7 @@ def cmd_converge(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
 def cmd_export(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
     for n in cfg.n:
         system = assemble(prepared.problem, _plan(cfg, rep, prepared, n))
+        _describe_audit(rep, n, checked_audit(system, n, require_audit=not cfg.force))
         summary = sign_pattern_summary(system)
         rep.emit(
             f"N={n}: sign pattern: {summary.positive_diagonal}/{system.dimension} positive diagonals, "
@@ -362,8 +369,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError: one stderr line, exit 2."""
+
+    def error(self, message: str):
+        # An argument may hold a line break; the report stays one line.
+        raise ConfigError(" ".join(message.splitlines()))
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monofd",
         description="Monotone finite-difference solver for anisotropic diffusion on the unit square.",
     )
@@ -393,9 +408,9 @@ _FAILURES = (
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = make_parser().parse_args(argv)
     rep = None
     try:
+        args = make_parser().parse_args(argv)
         cfg = resolve_config(args)
         rep = Reporter(cfg, args.command, argv)
         problem = build_problem(cfg)

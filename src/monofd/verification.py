@@ -27,6 +27,7 @@ __all__ = [
     "CaseResult",
     "prepare",
     "run_case",
+    "checked_audit",
     "dmp_row",
     "dmp_table",
     "convergence_study",
@@ -111,15 +112,22 @@ def run_case(
     plan = plan_grid(build_grid(n), prepared.table, fixed_m=fixed_m)
     mesh = check_mesh_condition(plan)
     system = assemble(prepared.problem, plan)
-    audit = audit_m_matrix(system)
-    if require_audit and not audit.passed:
-        raise AuditError(f"matrix audit failed at N={n}: {audit}")
+    audit = checked_audit(system, n, require_audit)
     solution, report = solve(system, tol=tol)
     if require_convergence and not report.converged:
         raise SolverError(
             f"solver did not reach tol={tol} at N={n}: residual {report.final_relative_residual}"
         )
     return CaseResult(plan, mesh, system, audit, solution, report)
+
+
+def checked_audit(system: SparseSystem, n: int, require_audit: bool = True) -> MatrixAudit:
+    """The M-matrix audit of the N=n system; AuditError when it fails and
+    ``require_audit`` is set."""
+    audit = audit_m_matrix(system)
+    if require_audit and not audit.passed:
+        raise AuditError(f"matrix audit failed at N={n}: {audit}")
+    return audit
 
 
 def _on_boundary(fn, grid: Grid) -> np.ndarray:

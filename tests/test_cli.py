@@ -112,11 +112,10 @@ class TestConfigHandling:
         assert run_cli("solve", "exam3", "--n", "4", flag, value, "--out", str(tmp_path)) == EXIT_CONFIG
         assert capsys.readouterr().err.count("\n") == 1
 
-    def test_no_iteration_cap_flag(self, tmp_path):
-        # The solver has no iteration cap; argparse refuses the flag.
-        with pytest.raises(SystemExit) as exc:
-            run_cli("solve", "exam3", "--n", "4", "--max-iter", "5", "--out", str(tmp_path))
-        assert exc.value.code == EXIT_CONFIG
+    def test_no_iteration_cap_flag(self, tmp_path, capsys):
+        # The solver has no iteration cap; the parser refuses the flag in one line.
+        assert run_cli("solve", "exam3", "--n", "4", "--max-iter", "5", "--out", str(tmp_path)) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unrecognized arguments: --max-iter 5\n"
 
     @pytest.mark.parametrize("inline, k", [(False, "1e300"), (True, "5")])
     def test_k_only_for_exam4(self, tmp_path, capsys, inline, k):
@@ -233,6 +232,14 @@ class TestSolveCommand:
         # harmonic plane: solution equals x everywhere
         assert grid_values == pytest.approx(np.tile(np.linspace(0, 1, 5), (5, 1)), abs=1e-9)
 
+    @pytest.mark.parametrize("problem, ordering", [("exam3", "nested-dissection"), ("exam1", "mmd")])
+    def test_solve_line_reports_ordering_and_factor_size(self, tmp_path, capsys, problem, ordering):
+        # exam3 plans a 3x3 stencil at every node, exam1 reaches two cells.
+        assert run_cli("solve", problem, "--n", "21", "--out", str(tmp_path)) == EXIT_OK
+        pattern = rf"N=21: solve: method=float32-lu ordering={ordering} factor_nnz=[1-9]\d* iterations="
+        assert re.search(pattern, capsys.readouterr().out)
+        assert re.search(pattern, (tmp_path / "manifest.txt").read_text())
+
     def test_manufactured_inline(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("a=1\nb=0\nc=1\nexact_u=x*y\nn=4\nprobe_step=0.05\n")
@@ -280,6 +287,18 @@ class TestStudyCommands:
         header = (out / "matrix_N21.txt").read_text().splitlines()[0]
         assert header.startswith("400 400 ")
         assert (out / "rhs_N21.txt").exists()
+
+    @pytest.mark.parametrize("force, code", [(False, EXIT_AUDIT), (True, EXIT_OK)])
+    def test_export_audits_the_system(self, tmp_path, capsys, force, code):
+        # f = 1/0 puts inf in every rhs entry: the audit fails, as in solve.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=0\nc=1\nf=1/0\ng=0\nn=3\n")
+        out = tmp_path / "o"
+        argv = ["export", "--config", str(cfg), "--out", str(out)] + ["--force"] * force
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == (not force) and "Traceback" not in err
+        assert (out / "rhs_N3.txt").exists() == force
 
 
 # The front door, fed random config files and flags.  Grids stay at N <= 8
@@ -366,6 +385,10 @@ def front_door(draw):
     options = st.sampled_from(["n", "k", "m", "tol", "probe_step", "force"])
     for key in draw(st.lists(options, unique=True, max_size=2)):
         flags.append("--" + key.replace("_", "-") + ("" if key == "force" else "=" + draw(_value(key))))
+    if not draw(_MOSTLY):  # an unknown flag, or one without its value; any prefix of --help would exit
+        unknown = st.text(max_size=8).map(lambda t: "--" + t).filter(lambda f: not "--help".startswith(f))
+        flags.insert(draw(st.integers(1, len(flags))),
+                     draw(st.one_of(st.sampled_from(["--max-iter=5", "-x", "--n", "--tol"]), unknown)))
     if not draw(_MOSTLY):  # a problem name, even one that starts with -
         flags += ["--", draw(_value("problem"))]
     return data, flags
@@ -384,6 +407,8 @@ def _run(command, *lines):
 @example(_run("converge", "a=1", "b=0", "c=1", "exact_u=1/0 + x"))
 @example(_run("converge", "a=1", "b=0", "c=1", "exact_u=x / 1.3233175866470532e-210"))
 @example(_run("converge", "a=1", "b=0", "c=1", "exact_u=5e-324"))
+@example((_run("solve", "problem=exam3")[0], ["solve", "--max-iter", "5"]))
+@example((_run("plan", "problem=exam3")[0], ["plan", "--a\nb"]))
 @settings(max_examples=100, deadline=None)
 def test_front_door_exits_with_a_documented_code_and_one_line(run):
     data, flags = run

@@ -8,7 +8,8 @@ from monofd.errors import SolverError
 from monofd.expressions import parse_expression
 from monofd.field import ProbeTable
 from monofd.grid import build_grid
-from monofd.solver import residual, solve
+from monofd import solver
+from monofd.solver import _grid_side, _nested_dissection, residual, solve
 from monofd.stencil import plan_grid
 from monofd.assembly import Problem
 from monofd.problems import built_in_problem
@@ -146,3 +147,95 @@ def test_factor_failure_in_both_precisions_is_reported(matrix):
     assert not report.converged
     assert report.iterations == 0
     assert u.shape == (2,)
+
+
+def reference_dissection(side, j0, j1, k0, k1, steps):
+    """The dissection rule as a recursion over boxes: the box's order, with
+    each cut's (low half, high half) appended to ``steps``."""
+    if j0 >= j1 or k0 >= k1:
+        return []
+    if j1 - j0 >= k1 - k0:
+        mid = (j0 + j1) // 2
+        low = reference_dissection(side, j0, mid, k0, k1, steps)
+        high = reference_dissection(side, mid + 1, j1, k0, k1, steps)
+        line = [k * side + mid for k in range(k0, k1)]
+    else:
+        mid = (k0 + k1) // 2
+        low = reference_dissection(side, j0, j1, k0, mid, steps)
+        high = reference_dissection(side, j0, j1, mid + 1, k1, steps)
+        line = [mid * side + j for j in range(j0, j1)]
+    steps.append((low, high))
+    return low + high + line
+
+
+@pytest.mark.parametrize("side", range(1, 41))
+def test_dissection_order_is_a_permutation(side):
+    order = _nested_dissection(side)
+    assert np.array_equal(np.sort(order), np.arange(side * side))
+    assert np.array_equal(order, reference_dissection(side, 0, side, 0, side, []))
+
+
+def nine_point_pattern(side, rng):
+    """A random subset of the couplings of a 3x3 stencil on the side x side
+    grid, diagonal included, as a CSR matrix."""
+    k, j = np.divmod(np.arange(side * side), side)
+    rows, cols = [np.arange(side * side)], [np.arange(side * side)]
+    for dk in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            keep = (0 <= k + dk) & (k + dk < side) & (0 <= j + dj) & (j + dj < side)
+            keep &= rng.random(side * side) < 0.7
+            rows.append(np.flatnonzero(keep))
+            cols.append((k[keep] + dk) * side + j[keep] + dj)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(side * side,) * 2)
+
+
+@pytest.mark.parametrize("side", [2, 3, 5, 8, 13, 24, 31])
+def test_no_entry_couples_the_halves_of_a_dissection_step(side):
+    rng = np.random.default_rng(side)
+    pattern = nine_point_pattern(side, rng)
+    assert _grid_side(pattern) == side
+    order = _nested_dissection(side)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    permuted = pattern[order][:, order].toarray() != 0
+    steps = []
+    reference_dissection(side, 0, side, 0, side, steps)
+    for low, high in steps:
+        # Each half is a block of consecutive positions, the low one first.
+        low, high = np.sort(position[low]), np.sort(position[high])
+        assert np.array_equal(low, np.arange(low.size) + (low[0] if low.size else 0))
+        assert np.array_equal(high, np.arange(high.size) + (high[0] if high.size else 0))
+        assert not permuted[np.ix_(low, high)].any() and not permuted[np.ix_(high, low)].any()
+    # From side 3 on, one entry that reaches two cells, or wraps around a
+    # grid row, and the matrix keeps minimum degree.
+    for r, c in ((0, 2), (side - 1, side)) if side >= 3 else ():
+        wider = pattern.tolil()
+        wider[r, c] = 1.0
+        assert _grid_side(wider.tocsr()) is None
+
+
+@pytest.mark.parametrize("n", [21, 41])
+def test_dissection_solve_matches_minimum_degree_solve(prep_exam3, n, monkeypatch):
+    system = assemble(prep_exam3.problem, plan_grid(build_grid(n), prep_exam3.table))
+    u, report = solve(system)
+    monkeypatch.setattr(solver, "_grid_side", lambda matrix: None)
+    reference, mmd = solve(system)
+    assert (report.ordering, mmd.ordering) == ("nested-dissection", "mmd")
+    assert report.converged and mmd.converged and report.method_name == "float32-lu"
+    assert report.factor_nnz > 0 and mmd.factor_nnz > 0
+    assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_dissection_zero_pivot_falls_back_to_float64_lu():
+    # Two grid rows of a 2x2 grid, each the float32-singular pair of
+    # near_singular_system; the dissection order keeps them apart until the
+    # line j = 1, whose pivots are 1 - t**2, exactly 0 in float32.
+    t = 1.0 - 1e-9
+    block = np.array([[1.0, -t], [-t, 1.0]])
+    system = SparseSystem(sp.csr_matrix(np.kron(np.eye(2), block)), np.ones(4))
+    assert list(_nested_dissection(2)) == [0, 2, 1, 3]
+    u, report = solve(system)
+    assert report.converged and report.method_name == "float64-lu"
+    assert report.ordering == "colamd" and report.factor_nnz > 0
+    assert residual(system, u) <= 1e-10
