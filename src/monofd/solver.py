@@ -12,13 +12,19 @@ on a pivoting float64 LU, and a failure of both is reported as
 non-convergence.  L and U are never extracted: that copies the whole factor.
 
 Ordering rule, read from the matrix alone: when the unknowns fill a square
-grid of isqrt(dim) sides in row-major order and every stored entry joins grid
-neighbours (|dj| <= 1 and |dk| <= 1, a 3x3 stencil), every grid line is a
-separator, and the float32 factor takes a geometric nested-dissection order
-(George, SIAM J. Numer. Anal. 10(2), 1973) with one-line separators.  Every
-other system takes SuperLU's minimum degree order on the pattern of A + A^T;
-wider separators lose to it.  The float64 fallback keeps SuperLU's default
-column order (COLAMD).
+grid of isqrt(dim) sides in row-major order and every stored entry joins
+unknowns at most two cells apart (|dj| <= 2 and |dk| <= 2, as the stencils of
+half-width m <= 2 give), the float32 factor takes a geometric
+nested-dissection order (George, SIAM J. Numer. Anal. 10(2), 1973).  Its
+separators are grid lines; an entry two cells apart that jumps a line puts
+its low end in that line's separator, so a 3x3 stencil has one-line
+separators.  On a 2-core host this factor took 0.25 s for exam2 N=321 against
+minimum degree's 0.33 s (L+U 12.3M against 11.2M entries), and 1.25 s for exam1
+N=601 against 1.57 s (50.6M against 45.7M).  Systems reaching further take
+SuperLU's minimum degree order on the pattern of A + A^T: with separators
+widened to their reach, exam4 k=10 N=321 (reach 4) factored in 0.38 s against
+0.35 s, exam4 k=100 N=201 (reach 96) in 5.2 s against 0.52 s.  The float64
+fallback keeps SuperLU's default column order (COLAMD).
 """
 
 from __future__ import annotations
@@ -72,8 +78,8 @@ def solve(system: SparseSystem, tol: float = 1e-10):
     Identical inputs give identical outputs on one platform.  Non-convergence
     is reported, not raised; callers decide whether it is fatal.
     """
-    side = _grid_side(system.matrix)
-    order = None if side is None else _nested_dissection(side)
+    grid = _reach2_grid(system.matrix)
+    order = None if grid is None else _nested_dissection(*grid)
     # Each factor's ordering, and the unknowns in the order it factors them.
     float32 = ("mmd", slice(None)) if order is None else ("nested-dissection", order)
     for method, dtype, (ordering, perm), factor in (
@@ -94,29 +100,48 @@ def solve(system: SparseSystem, tol: float = 1e-10):
     return x, SolveReport(solves, rel, rel <= tol, method, ordering, entries)
 
 
-def _grid_side(matrix: sp.csr_matrix) -> int | None:
-    """The side s when the unknowns are an s x s grid in row-major order and
-    every stored entry joins grid neighbours; else None."""
+def _reach2_grid(matrix: sp.csr_matrix) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(s, rows, cols) when the unknowns are an s x s grid in row-major order
+    and every stored entry joins unknowns at most two cells apart in j and in
+    k; ``rows[i]``, ``cols[i]`` are the entries two cells apart.  Else None."""
     n = matrix.shape[0]
     side = math.isqrt(n)
     if side * side != n:
         return None
-    k, j = np.divmod(matrix.indices, side)
-    row_k, row_j = np.divmod(np.arange(n, dtype=matrix.indices.dtype), side)
-    lengths = np.diff(matrix.indptr)
-    near = (np.abs(k - np.repeat(row_k, lengths)) <= 1) & (np.abs(j - np.repeat(row_j, lengths)) <= 1)
-    return side if near.all() else None
+    indices, indptr = matrix.indices, matrix.indptr
+    lengths = np.diff(indptr)
+    rows = np.arange(n, dtype=indices.dtype)
+    # A stored column more than 2 side + 2 from its row is out of reach.  The
+    # first and last of each row (when every row stores one), its extremes in
+    # a canonical matrix, refuse most wider systems in one pass over the rows.
+    if lengths.all() and max((rows - indices[indptr[:-1]]).max(initial=0),
+                             (indices[indptr[1:] - 1] - rows).max(initial=0)) > 2 * side + 2:
+        return None
+    dk = indices // side
+    dj = indices - dk * side
+    dk -= np.repeat(rows // side, lengths)
+    dj -= np.repeat(rows % side, lengths)
+    reach = np.abs(dk)
+    np.maximum(reach, np.abs(dj), out=reach)
+    if reach.max(initial=0) > 2:
+        return None
+    far = np.flatnonzero(reach == 2)
+    cols = indices[far]
+    return side, cols - dk[far] * side - dj[far], cols
 
 
-def _nested_dissection(side: int) -> np.ndarray:
+def _nested_dissection(side: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Nested-dissection order of the side x side grid: ``order[p]`` is the
     row-major number of the unknown in position p.
 
     Each box is cut by the grid line through the middle of its longer side
     (across j on a tie); the box below the line (smaller j or k) comes first,
-    then the one above, then the line, so a stencil reaching one cell couples
-    the two halves only through the line.  All boxes of a level are cut at
-    once."""
+    then the one above, then the separator, so a stencil reaching one cell
+    couples the two halves only through the line.  All boxes of a level are
+    cut at once.  The separator is the line, then, in row-major order, the
+    unknowns of the low half that an entry ``rows[i]``, ``cols[i]`` two cells
+    apart couples to the high half.  Cuts take these unknowns shallowest
+    first, and skip an entry with an end that a shallower cut took."""
     # Boxes [j0, j1) x [k0, k1) still to order, and the first position of each.
     j0, j1, k0, k1, first = (np.array([v]) for v in (0, side, 0, side, 0))
     lines = []
@@ -127,21 +152,52 @@ def _nested_dissection(side: int) -> np.ndarray:
         high = (np.where(wide, jm + 1, j0), j1, np.where(wide, k0, km + 1), k1)
         low_size = (low[1] - low[0]) * (low[3] - low[2])
         high_size = (high[1] - high[0]) * (high[3] - high[2])
+        # The line, its first position, and the first positions of its box and high half.
         lines.append((np.where(wide, jm, j0), np.where(wide, jm + 1, j1),
                       np.where(wide, k0, km), np.where(wide, k1, km + 1),
-                      first + low_size + high_size))
+                      first + low_size + high_size, first, first + low_size))
         keep = np.concatenate([low_size, high_size]) > 0
         j0, j1, k0, k1 = (np.concatenate(halves)[keep] for halves in zip(low, high))
         first = np.concatenate([first, first + low_size])[keep]
     # Number each line's unknowns row-major from its first position.
-    j0, j1, k0, k1, first = (np.concatenate(column) for column in zip(*lines))
+    columns = list(zip(*lines))
+    j0, j1, k0, k1, first = (np.concatenate(column) for column in columns[:5])
     width = j1 - j0
     size = width * (k1 - k0)
     local = np.arange(side * side) - np.repeat(np.cumsum(size) - size, size)
     k, j = np.divmod(local, np.repeat(width, size))
+    unknowns = (np.repeat(k0, size) + k) * side + np.repeat(j0, size) + j
     order = np.empty(side * side, dtype=np.int64)
-    order[np.repeat(first, size) + local] = (np.repeat(k0, size) + k) * side + np.repeat(j0, size) + j
-    return order
+    order[np.repeat(first, size) + local] = unknowns
+    if not rows.size:
+        return order
+    # Only the line through the cell midway between an entry's ends (rounded
+    # down) can part them; it does when they lie in its two halves.
+    line_of = np.empty_like(order)
+    line_of[unknowns] = np.repeat(np.arange(size.size), size)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    (row_k, row_j), (col_k, col_j) = np.divmod(rows, side), np.divmod(cols, side)
+    cut = line_of[(row_k + col_k) // 2 * side + (row_j + col_j) // 2]
+    depth = np.repeat(np.arange(len(lines)), [line.size for line in columns[0]])[cut]
+    box, middle = (np.concatenate(column) for column in columns[5:])
+    ends = position[rows], position[cols]
+    low_at, high_at = np.minimum(*ends), np.maximum(*ends)
+    parted = np.flatnonzero((box[cut] <= low_at) & (low_at < middle[cut])
+                            & (middle[cut] <= high_at) & (high_at < first[cut]))
+    parted = parted[np.argsort(depth[parted], kind="stable")]
+    cut, low, high = cut[parted], order[low_at[parted]], order[high_at[parted]]
+    # Cut by cut, shallowest first, the low end joins the separator unless a
+    # shallower cut took either end.
+    taken_by = np.full(order.size, -1)
+    for level in np.split(np.arange(cut.size), np.flatnonzero(np.diff(depth[parted])) + 1):
+        free = (taken_by[low[level]] < 0) & (taken_by[high[level]] < 0)
+        taken_by[low[level][free]] = cut[level][free]
+    moved = np.flatnonzero(taken_by >= 0)
+    after = (first + size)[taken_by[moved]]  # the position after the cut's line
+    by_cut = np.argsort(after, kind="stable")
+    kept = taken_by[order] < 0
+    return np.insert(order[kept], np.cumsum(kept)[after[by_cut] - 1], moved[by_cut])
 
 
 def _float32_lu(matrix: sp.csr_matrix, order: np.ndarray | None):

@@ -232,9 +232,11 @@ class TestSolveCommand:
         # harmonic plane: solution equals x everywhere
         assert grid_values == pytest.approx(np.tile(np.linspace(0, 1, 5), (5, 1)), abs=1e-9)
 
-    @pytest.mark.parametrize("problem, ordering", [("exam3", "nested-dissection"), ("exam1", "mmd")])
+    @pytest.mark.parametrize("problem, ordering", [("exam3", "nested-dissection"), ("exam1", "nested-dissection"),
+                                                   ("exam4", "mmd")])
     def test_solve_line_reports_ordering_and_factor_size(self, tmp_path, capsys, problem, ordering):
-        # exam3 plans a 3x3 stencil at every node, exam1 reaches two cells.
+        # exam3 plans a 3x3 stencil at every node, exam1 reaches two cells,
+        # exam4 (k = 10) further.
         assert run_cli("solve", problem, "--n", "21", "--out", str(tmp_path)) == EXIT_OK
         pattern = rf"N=21: solve: method=float32-lu ordering={ordering} factor_nnz=[1-9]\d* iterations="
         assert re.search(pattern, capsys.readouterr().out)

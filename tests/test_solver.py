@@ -9,7 +9,7 @@ from monofd.expressions import parse_expression
 from monofd.field import ProbeTable
 from monofd.grid import build_grid
 from monofd import solver
-from monofd.solver import _grid_side, _nested_dissection, residual, solve
+from monofd.solver import _nested_dissection, _reach2_grid, residual, solve
 from monofd.stencil import plan_grid
 from monofd.assembly import Problem
 from monofd.problems import built_in_problem
@@ -149,39 +149,51 @@ def test_factor_failure_in_both_precisions_is_reported(matrix):
     assert u.shape == (2,)
 
 
-def reference_dissection(side, j0, j1, k0, k1, steps):
+def reference_dissection(side, j0, j1, k0, k1, steps, coupled=None, taken=frozenset()):
     """The dissection rule as a recursion over boxes: the box's order, with
-    each cut's (low half, high half) appended to ``steps``."""
+    each cut's (low half, high half) appended to ``steps``.  ``coupled`` maps
+    an unknown to those a stored entry joins it to; ``taken`` holds the
+    unknowns that shallower cuts placed."""
     if j0 >= j1 or k0 >= k1:
         return []
+
+    def members(box):
+        a, b, c, d = box
+        return [k * side + j for k in range(c, d) for j in range(a, b) if k * side + j not in taken]
+
     if j1 - j0 >= k1 - k0:
         mid = (j0 + j1) // 2
-        low = reference_dissection(side, j0, mid, k0, k1, steps)
-        high = reference_dissection(side, mid + 1, j1, k0, k1, steps)
-        line = [k * side + mid for k in range(k0, k1)]
+        low, high, line = (j0, mid, k0, k1), (mid + 1, j1, k0, k1), (mid, mid + 1, k0, k1)
     else:
         mid = (k0 + k1) // 2
-        low = reference_dissection(side, j0, j1, k0, mid, steps)
-        high = reference_dissection(side, j0, j1, mid + 1, k1, steps)
-        line = [mid * side + j for j in range(j0, j1)]
+        low, high, line = (j0, j1, k0, mid), (j0, j1, mid + 1, k1), (j0, j1, mid, mid + 1)
+    # Unknowns of the low half that an entry couples to the high half join the separator.
+    above = set(members(high))
+    jumped = [u for u in members(low) if coupled is not None and coupled[u] & above]
+    taken = taken | set(jumped)
+    low = reference_dissection(side, *low, steps, coupled, taken)
+    high = reference_dissection(side, *high, steps, coupled, taken)
     steps.append((low, high))
-    return low + high + line
+    return low + high + members(line) + jumped
+
+
+NO_ENTRIES = (np.empty(0, dtype=np.int64),) * 2
 
 
 @pytest.mark.parametrize("side", range(1, 41))
 def test_dissection_order_is_a_permutation(side):
-    order = _nested_dissection(side)
+    order = _nested_dissection(side, *NO_ENTRIES)
     assert np.array_equal(np.sort(order), np.arange(side * side))
     assert np.array_equal(order, reference_dissection(side, 0, side, 0, side, []))
 
 
-def nine_point_pattern(side, rng):
-    """A random subset of the couplings of a 3x3 stencil on the side x side
-    grid, diagonal included, as a CSR matrix."""
+def stencil_pattern(side, rng, reach):
+    """A random subset of the couplings of a stencil reaching ``reach``
+    cells on the side x side grid, diagonal included, as a CSR matrix."""
     k, j = np.divmod(np.arange(side * side), side)
     rows, cols = [np.arange(side * side)], [np.arange(side * side)]
-    for dk in (-1, 0, 1):
-        for dj in (-1, 0, 1):
+    for dk in range(-reach, reach + 1):
+        for dj in range(-reach, reach + 1):
             keep = (0 <= k + dk) & (k + dk < side) & (0 <= j + dj) & (j + dj < side)
             keep &= rng.random(side * side) < 0.7
             rows.append(np.flatnonzero(keep))
@@ -193,38 +205,56 @@ def nine_point_pattern(side, rng):
 @pytest.mark.parametrize("side", [2, 3, 5, 8, 13, 24, 31])
 def test_no_entry_couples_the_halves_of_a_dissection_step(side):
     rng = np.random.default_rng(side)
-    pattern = nine_point_pattern(side, rng)
-    assert _grid_side(pattern) == side
-    order = _nested_dissection(side)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    permuted = pattern[order][:, order].toarray() != 0
-    steps = []
-    reference_dissection(side, 0, side, 0, side, steps)
-    for low, high in steps:
-        # Each half is a block of consecutive positions, the low one first.
-        low, high = np.sort(position[low]), np.sort(position[high])
-        assert np.array_equal(low, np.arange(low.size) + (low[0] if low.size else 0))
-        assert np.array_equal(high, np.arange(high.size) + (high[0] if high.size else 0))
-        assert not permuted[np.ix_(low, high)].any() and not permuted[np.ix_(high, low)].any()
-    # From side 3 on, one entry that reaches two cells, or wraps around a
-    # grid row, and the matrix keeps minimum degree.
-    for r, c in ((0, 2), (side - 1, side)) if side >= 3 else ():
-        wider = pattern.tolil()
-        wider[r, c] = 1.0
-        assert _grid_side(wider.tocsr()) is None
+    for reach in (1, 2):
+        pattern = stencil_pattern(side, rng, reach)
+        grid = _reach2_grid(pattern)
+        assert grid is not None and grid[0] == side
+        assert (grid[1].size > 0) == (reach == 2 and side >= 3)
+        order = _nested_dissection(*grid)
+        coupled = {u: set() for u in range(side * side)}
+        for r, c in zip(*pattern.nonzero()):
+            coupled[r].add(c)
+            coupled[c].add(r)
+        # A 3x3 stencil moves no unknown: its order is the plain rule's.
+        if reach == 1:
+            assert np.array_equal(order, reference_dissection(side, 0, side, 0, side, []))
+        steps = []
+        assert np.array_equal(order, reference_dissection(side, 0, side, 0, side, steps, coupled))
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        permuted = pattern[order][:, order].toarray() != 0
+        for low, high in steps:
+            # Each half is a block of consecutive positions, the low one first.
+            low, high = np.sort(position[low]), np.sort(position[high])
+            assert np.array_equal(low, np.arange(low.size) + (low[0] if low.size else 0))
+            assert np.array_equal(high, np.arange(high.size) + (high[0] if high.size else 0))
+            assert not permuted[np.ix_(low, high)].any() and not permuted[np.ix_(high, low)].any()
+    # From side 3 on an entry reaching two cells keeps the grid; from side 4
+    # on one reaching three, or wrapping around a grid row, or reaching three
+    # grid rows, sends the matrix to minimum degree.
+    for (r, c), grid in (((0, 2), side), ((0, 3), None), ((side - 1, side), None), ((0, 3 * side), None)):
+        if c < side * side and side >= 3 + (grid is None):
+            wider = pattern.tolil()
+            wider[r, c] = 1.0
+            found = _reach2_grid(wider.tocsr())
+            assert (None if found is None else found[0]) == grid
 
 
 @pytest.mark.parametrize("n", [21, 41])
-def test_dissection_solve_matches_minimum_degree_solve(prep_exam3, n, monkeypatch):
-    system = assemble(prep_exam3.problem, plan_grid(build_grid(n), prep_exam3.table))
-    u, report = solve(system)
-    monkeypatch.setattr(solver, "_grid_side", lambda matrix: None)
-    reference, mmd = solve(system)
-    assert (report.ordering, mmd.ordering) == ("nested-dissection", "mmd")
-    assert report.converged and mmd.converged and report.method_name == "float32-lu"
-    assert report.factor_nnz > 0 and mmd.factor_nnz > 0
-    assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
+def test_dissection_solve_matches_minimum_degree_solve(n, request, monkeypatch):
+    # exam1 and exam2 plan stencils reaching two cells, exam3 one.
+    for prep, reach in (("prep_exam1", 2), ("prep_exam2", 2), ("prep_exam3", 1)):
+        prepared = request.getfixturevalue(prep)
+        system = assemble(prepared.problem, plan_grid(build_grid(n), prepared.table))
+        assert (_reach2_grid(system.matrix)[1].size > 0) == (reach == 2)
+        u, report = solve(system)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_reach2_grid", lambda matrix: None)
+            reference, mmd = solve(system)
+        assert (report.ordering, mmd.ordering) == ("nested-dissection", "mmd")
+        assert report.converged and mmd.converged and report.method_name == "float32-lu"
+        assert report.factor_nnz > 0 and mmd.factor_nnz > 0
+        assert np.max(np.abs(u - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_dissection_zero_pivot_falls_back_to_float64_lu():
@@ -234,7 +264,22 @@ def test_dissection_zero_pivot_falls_back_to_float64_lu():
     t = 1.0 - 1e-9
     block = np.array([[1.0, -t], [-t, 1.0]])
     system = SparseSystem(sp.csr_matrix(np.kron(np.eye(2), block)), np.ones(4))
-    assert list(_nested_dissection(2)) == [0, 2, 1, 3]
+    assert list(_nested_dissection(2, *NO_ENTRIES)) == [0, 2, 1, 3]
+    u, report = solve(system)
+    assert report.converged and report.method_name == "float64-lu"
+    assert report.ordering == "colamd" and report.factor_nnz > 0
+    assert residual(system, u) <= 1e-10
+
+
+def test_reach2_dissection_zero_pivot_falls_back_to_float64_lu():
+    # On a 3x3 grid, the float32-singular pair of near_singular_system joins
+    # (k, 0) to (k, 2) across the line j = 1 in each grid row; (k, 0) joins
+    # the separator after the line, where its pivot is 1 - t**2, 0 in float32.
+    t = 1.0 - 1e-9
+    pairs = np.array([[1.0, 0.0, -t], [0.0, 1.0, 0.0], [-t, 0.0, 1.0]])
+    system = SparseSystem(sp.csr_matrix(np.kron(np.eye(3), pairs)), np.ones(9))
+    side, rows, cols = _reach2_grid(system.matrix)
+    assert side == 3 and list(_nested_dissection(side, rows, cols)) == [2, 8, 5, 1, 4, 7, 0, 3, 6]
     u, report = solve(system)
     assert report.converged and report.method_name == "float64-lu"
     assert report.ordering == "colamd" and report.factor_nnz > 0
