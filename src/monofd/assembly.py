@@ -211,24 +211,21 @@ def audit_m_matrix(system: SparseSystem) -> MatrixAudit:
     balanced (interior) and must be strictly dominant where the stencil
     touches the boundary, which shows up as min slack > 0 on those rows.
     """
-    matrix = system.matrix.tocoo()
-    off = matrix.row != matrix.col
-    diag = system.matrix.diagonal()
+    matrix = system.matrix
+    rows = np.repeat(np.arange(system.dimension), np.diff(matrix.indptr))
+    off = rows != matrix.indices
+    diag = matrix.diagonal()
     off_vals = matrix.data[off]
     max_off = float(off_vals.max()) if off_vals.size else 0.0
-    abs_off_sum = np.zeros(system.dimension)
-    np.add.at(abs_off_sum, matrix.row[off], np.abs(off_vals))
+    abs_off_sum = np.bincount(rows[off], weights=np.abs(off_vals), minlength=system.dimension)
     with np.errstate(invalid="ignore"):  # inf - inf; counted below
         slack = diag - abs_off_sum
     scale = np.maximum(np.abs(diag), 1.0)
     nonfinite_values = int((~np.isfinite(matrix.data)).sum()) + int((~np.isfinite(system.rhs)).sum())
     zpattern_violations = int((off_vals > 1e-12).sum()) + int((diag <= 0.0).sum())
     dominance_violations = int((slack < -1e-9 * scale).sum())
-    pattern = sp.coo_matrix(
-        (np.abs(off_vals), (matrix.row[off], matrix.col[off])),
-        shape=matrix.shape,
-    )
-    n_components = int(connected_components(pattern, directed=False)[0]) if system.dimension > 1 else 1
+    # The stored entries, zeros included, are the graph's edges; the diagonal adds only loops.
+    n_components = int(connected_components(matrix, directed=False)[0]) if system.dimension > 1 else 1
     connected = n_components == 1
     passed = zpattern_violations == 0 and dominance_violations == 0 and nonfinite_values == 0 and connected
     return MatrixAudit(

@@ -329,22 +329,32 @@ class GridPlan:
 
 
 class _SpecialPoints:
-    """Tensor samples at each node's center and 4 axis-edge midpoints.
+    """Tensor samples at each node's 4 axis-edge midpoints, and slope bounds
+    over those and the node's center.
 
-    These are exactly the points where assembly evaluates the axis-term
-    coefficients, so they both extend the planning intervals (fallback path)
-    and back the post-selection safety check.
+    The midpoints are exactly the points where assembly evaluates the
+    axis-term coefficients, so they back the post-selection safety check;
+    with the center they extend the planning intervals of the nodes that
+    fall back, the only ones whose bounds are formed.
     """
 
     def __init__(self, field: DiffusionField, grid: Grid):
-        X, Y = grid.interior_coords()
+        self.field = field
+        self.x, self.y = grid.interior_coords()
         half = 0.5 * grid.h
-        pts_x = np.stack([X, X - half, X + half, X, X])
-        pts_y = np.stack([Y, Y, Y, Y - half, Y + half])
+        pts_x = np.stack([self.x - half, self.x + half, self.x, self.x])
+        pts_y = np.stack([self.y, self.y, self.y - half, self.y + half])
         # Non-finite field values here are left to the checks below and to assembly.
         self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
-        g, f = slope_ratios(self.a, self.b, self.c)
-        self.bounds = slope_bounds(g, f, self.b > 0.0, self.b < 0.0, axis=0)
+
+    def bounds(self, idx: np.ndarray):
+        """The four slope bounds of each node of ``idx`` over its center and
+        4 midpoints."""
+        center = self.field.tensor_arrays(self.x[idx], self.y[idx])
+        # take keeps the rows contiguous, so the reductions below run along them.
+        a, b, c = (np.vstack([at, on.take(idx, axis=1)]) for at, on in zip(center, (self.a, self.b, self.c)))
+        g, f = slope_ratios(a, b, c)
+        return slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
 
     def choice_is_safe(self, idx: np.ndarray, m: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
         """Per node of ``idx`` planned with (m, i1, i2): gamma0/gamma2 are
@@ -353,7 +363,7 @@ class _SpecialPoints:
         A midpoint carrying a sign of b for which the choice has no direction
         has an undefined (nan) coefficient, and is unsafe like a negative one.
         """
-        a, b, c = self.a[1:, idx], self.b[1:, idx], self.c[1:, idx]
+        a, b, c = self.a[:, idx], self.b[:, idx], self.c[:, idx]
         gamma0, gamma2 = axis_coefficients(a, b, c, direction_slopes(m, i1), direction_slopes(m, i2))
         # x-edge midpoints carry gamma0, y-edge midpoints gamma2
         gamma = np.concatenate([gamma0[:2], gamma2[2:]])
@@ -387,8 +397,8 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
     # placement alone protects them; no margin here keeps the fallback
     # stencils as small as possible.
     merged = tuple(
-        ufunc(ball[fallback], special[fallback])
-        for (ufunc, _), ball, special in zip(SLOPE_REDUCTIONS, bounds, specials.bounds)
+        ufunc(ball[fallback], special)
+        for (ufunc, _), ball, special in zip(SLOPE_REDUCTIONS, bounds, specials.bounds(fallback))
     )
     replan = _select(merged, m_cap, 0.0, fixed_m)
     failed = replan[0] == 0

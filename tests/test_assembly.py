@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from scipy.sparse.csgraph import connected_components
+
 from monofd.assembly import (
+    MatrixAudit,
     Problem,
     SparseSystem,
     assemble,
@@ -185,6 +188,56 @@ class TestAudit:
         audit = audit_m_matrix(SparseSystem(matrix, np.zeros(3)))
         assert not audit.connected
         assert audit.n_components == 3
+
+
+def coo_audit(system):
+    """The audit as it read a COO copy of the matrix, kept as the oracle of
+    the CSR reading."""
+    matrix = system.matrix.tocoo()
+    off = matrix.row != matrix.col
+    diag = system.matrix.diagonal()
+    off_vals = matrix.data[off]
+    max_off = float(off_vals.max()) if off_vals.size else 0.0
+    abs_off_sum = np.zeros(system.dimension)
+    np.add.at(abs_off_sum, matrix.row[off], np.abs(off_vals))
+    with np.errstate(invalid="ignore"):
+        slack = diag - abs_off_sum
+    scale = np.maximum(np.abs(diag), 1.0)
+    nonfinite_values = int((~np.isfinite(matrix.data)).sum()) + int((~np.isfinite(system.rhs)).sum())
+    zpattern_violations = int((off_vals > 1e-12).sum()) + int((diag <= 0.0).sum())
+    dominance_violations = int((slack < -1e-9 * scale).sum())
+    pattern = sp.coo_matrix((np.abs(off_vals), (matrix.row[off], matrix.col[off])), shape=matrix.shape)
+    n_components = int(connected_components(pattern, directed=False)[0]) if system.dimension > 1 else 1
+    connected = n_components == 1
+    passed = zpattern_violations == 0 and dominance_violations == 0 and nonfinite_values == 0 and connected
+    return MatrixAudit(max_off, float(diag.min()), float(slack.min()), zpattern_violations,
+                       dominance_violations, nonfinite_values, n_components, connected, passed)
+
+
+class TestAuditOracle:
+    @pytest.mark.parametrize("prep", ["prep_exam1", "prep_exam2", "prep_exam3", "prep_exam4", "prep_exam4_k100"])
+    def test_built_in_systems(self, prep, request):
+        prepared = request.getfixturevalue(prep)
+        n = 201 if prep == "prep_exam4_k100" else 31  # the smallest k=100 grid here that plans
+        system = assemble(prepared.problem, plan_grid(build_grid(n), prepared.table))
+        assert repr(audit_m_matrix(system)) == repr(coo_audit(system))
+
+    @pytest.mark.parametrize("data", [
+        [2.0, 0.0, -1.0, 2.0, -1.0, 0.0, 2.0, -1.0, 0.0, -1.0, 2.0],
+        [2.0, 0.0, -1.0, 0.0, -1.0, 0.0, 2.0, -1.0, 0.0, -1.0, 2.0],  # a zero diagonal
+        [2.0, 0.0, -1.0, 2.0, -1.0, 0.0, np.nan, -1.0, 0.0, -1.0, np.inf],
+        [2.0, 0.5, -1.0, 2.0, -1.0, 0.0, 2.0, -3.0, 0.0, -1.0, 2.0],  # sign and dominance fail
+    ])
+    def test_stored_zeros(self, data):
+        # Rows 0-1 and 2-3 are coupled blocks; only stored zeros join them.
+        # Row 0 stores its columns out of order.
+        indices = [0, 2, 1, 1, 0, 3, 2, 3, 1, 2, 3]
+        indptr = [0, 3, 6, 8, 11]
+        matrix = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(4, 4))
+        system = SparseSystem(matrix, np.ones(4))
+        audit = audit_m_matrix(system)
+        assert repr(audit) == repr(coo_audit(system))
+        assert audit.n_components == 1
 
 
 class TestExport:

@@ -7,18 +7,19 @@ by the extrema of the Dirichlet data g.  A strictly diagonally dominant
 tensor, |b| < min(a, c), admits the 3x3 stencil at every node.  For a
 constant tensor the three-point conservative difference is exact on linear
 functions, on arms clipped at the boundary too, so a linear solution is
-reproduced to rounding.
+reproduced to rounding, or refused by the solver where its values lie below
+float64's normal range.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monofd.assembly import assemble, audit_m_matrix
-from monofd.errors import PlanningError
+from monofd.errors import PlanningError, SolverError
 from monofd.grid import build_grid
 from monofd.problems import problem_from_expressions
 from monofd.solver import residual
@@ -108,11 +109,19 @@ def constant_spd_tensor(draw):
 
 
 @given(abc=constant_spd_tensor(), coefficients=st.tuples(*[st.floats(-5.0, 5.0)] * 3), n=st.integers(4, 41))
+@example(abc=("1.0", "0.0", "1.0"), coefficients=(0.0, 0.0, 5e-324), n=4)
 @settings(max_examples=40, deadline=None)
 def test_linear_solution_is_reproduced_to_rounding(abc, coefficients, n):
     p, q, r = coefficients
     problem = problem_from_expressions("linear", abc, exact_u=f"{p!r} + {q!r}*x + {r!r}*y")
-    case = run_case(prepare(problem, probe_step=0.01), n)
-    X, Y = case.grid.interior_coords()
+    X, Y = build_grid(n).interior_coords()
     exact = problem.exact_u(X, Y)
+    try:
+        case = run_case(prepare(problem, probe_step=0.01), n)
+    except SolverError:
+        # The solver's documented refusal, here only where float64 cannot
+        # hold the discrete solution: nonzero exact values all below the
+        # normal range, so a few bits or none resolve them (5e-324 * y above).
+        assert 0.0 < np.abs(exact).max() < np.finfo(float).tiny
+        return
     assert np.abs(case.solution - exact).max() <= 1e-10 * np.abs(exact).max()

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from monofd.errors import PlanningError
 from monofd.field import SplittingConstants, field_from_expressions
 from monofd.grid import build_grid
-from monofd.splitting import AngleIntervals
+from monofd import stencil
+from monofd.splitting import SLOPE_REDUCTIONS, AngleIntervals, slope_bounds, slope_ratios
 from monofd.stencil import (
     MAX_HALF_WIDTH,
     check_mesh_condition,
@@ -203,6 +204,36 @@ class TestPlanGrid:
         plan = plan_grid(build_grid(9), table)
         assert plan.max_m == 1
         assert not plan.i1.any() and not plan.i2.any()
+
+    @pytest.mark.parametrize("prep, n, fallback", [("prep_exam1", 20, 4), ("prep_exam4_k100", 201, 200 * 200)])
+    def test_fallback_bounds_are_five_point_bounds(self, prep, n, fallback, request, monkeypatch):
+        # Only the fallback nodes' special-point bounds are formed.  They are
+        # the slope bounds over each node's center and 4 axis-edge midpoints,
+        # recounted here as one five-point sample, and merge into the plan's.
+        table, grid = request.getfixturevalue(prep).table, build_grid(n)
+        formed = []
+        bounds = stencil._SpecialPoints.bounds
+
+        def spy(self, idx):
+            formed.append((idx, bounds(self, idx)))
+            return formed[-1][1]
+
+        monkeypatch.setattr(stencil._SpecialPoints, "bounds", spy)
+        plan = plan_grid(grid, table)
+        [(idx, got)] = formed
+        assert idx.size == plan.fallback_nodes == fallback
+        X, Y = grid.interior_coords()
+        x, y, half = X[idx], Y[idx], 0.5 * grid.h
+        a, b, c = table.field.tensor_arrays(np.stack([x, x - half, x + half, x, x]),
+                                            np.stack([y, y, y, y - half, y + half]))
+        g, f = slope_ratios(a, b, c)
+        want = slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
+        axis = np.arange(1, n) / n
+        ball = table.ball_bounds(axis, axis, table.constants.radius)[0]
+        planned = (plan.a_sup, plan.b_inf, plan.c_sup, plan.d_inf)
+        for (ufunc, _), got_k, want_k, ball_k, planned_k in zip(SLOPE_REDUCTIONS, got, want, ball, planned):
+            assert np.array_equal(got_k, want_k)
+            assert np.array_equal(planned_k[idx], ufunc(ball_k[idx], want_k))
 
     def test_exam3_all_diagonal(self, prep_exam3):
         plan = plan_grid(build_grid(51), prep_exam3.table)
