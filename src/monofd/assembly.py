@@ -24,6 +24,7 @@ values surface as an undefined coefficient or in the audit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError
-from .expressions import Expression, evaluate
+from .expressions import Expression
 from .field import DiffusionField
 from .grid import Grid
-from .splitting import GAMMA_TOLERANCE, axis_coefficients
+from .splitting import GAMMA_TOLERANCE, axis_gamma
 from .stencil import GridPlan, clip_arms, direction_offsets
 
 
@@ -109,23 +110,6 @@ def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
     return AssemblyError(f"{message} at node (j={j}, k={k})", node=(j, k))
 
 
-def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
-    """gamma0 (which=0) or gamma2 (which=1) at one point per node, from its slopes.
-
-    Evaluates b and only the diagonal entry the term uses (a for gamma0, c
-    for gamma2), together, passed to ``axis_coefficients`` in both slots.
-    nan where b has a sign for which the plan has no direction: a plan
-    inconsistency, which ``_check_nonnegative`` reports.
-    """
-    roots = ((field.a, field.c)[which], field.b)
-
-    def gamma(xs, ys):
-        d, b = evaluate(roots, xs, ys)
-        return axis_coefficients(d, b, d, tan1, tan2)[which]
-
-    return gamma
-
-
 def _diagonal_gamma(field: DiffusionField, slope, side: str):
     """gamma1 along directions of the given slopes; zero off their sign part."""
     part = np.maximum if side == "plus" else np.minimum
@@ -154,10 +138,11 @@ def assemble(problem: Problem, plan: GridPlan) -> SparseSystem:
     entries = []  # (rows, cols, values) triplet arrays
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rhs = problem.f(J / grid.n, K / grid.n).copy()
-        # gamma0 along x and gamma2 along y at every node
+        # gamma0 along x and gamma2 along y at every node; nan where b has a
+        # sign the plan has no direction for, which _check_nonnegative reports
         for which, (label, dx, dy) in enumerate((("gamma-x", 1, 0), ("gamma-y", 0, 1))):
-            _assemble_direction(entries, rhs, problem, grid, every, J, K, dx, dy,
-                                _axis_gamma(field, tan1, tan2, which), label)
+            gamma = functools.partial(axis_gamma, field, tan1=tan1, tan2=tan2, which=which)
+            _assemble_direction(entries, rhs, problem, grid, every, J, K, dx, dy, gamma, label)
         # gamma1 along the planned direction of each sign part
         for side, i_arr, tan in (("plus", plan.i1, tan1), ("minus", plan.i2, tan2)):
             rows = np.flatnonzero(i_arr)

@@ -207,7 +207,7 @@ def _is_const(e: Expression, v=None) -> bool:
     return isinstance(e, Const) and (v is None or e.value == v)
 
 
-# Smart constructors keep derivative trees small; + - * fold two constants first.
+# Smart constructors keep derivative trees small; + - * / fold two constants first.
 
 def _fold(op, u, v):
     """``BinOp(op, u, v)``, or the Const the evaluator's float64 ``op`` gives two constants."""
@@ -239,10 +239,11 @@ def _mul(u, v):
 
 
 def _div(u, v):
-    if _is_const(u, 0.0):
-        return Const(0.0)
-    if _is_const(v, 1.0):
-        return u
+    if _is_const(u) != _is_const(v):  # one constant operand: 0/v and u/1
+        if _is_const(u, 0.0):
+            return Const(0.0)
+        if _is_const(v, 1.0):
+            return u
     return _fold("/", u, v)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanError
+from .expressions import evaluate
 
 __all__ = [
     "AngleIntervals",
@@ -26,7 +27,7 @@ __all__ = [
     "masked_ratios",
     "SLOPE_REDUCTIONS",
     "split_values",
-    "axis_coefficients",
+    "axis_gamma",
     "GAMMA_TOLERANCE",
 ]
 
@@ -94,17 +95,19 @@ def _inv_cos_sin(tan_beta: float):
     return 1.0 / tan_beta + tan_beta
 
 
-def axis_coefficients(a, b, c, tan1, tan2):
-    """Coefficients (g0, g2) of the x and y terms at points with entries (a, b, c).
+def axis_gamma(field, x, y, tan1, tan2, which: int):
+    """gamma0 (which=0) or gamma2 (which=1) of the x or y term at points (x, y).
 
-    Elementwise: ``tan1`` serves the points with b > 0 and ``tan2`` those with
-    b < 0; points with b = 0 give plain a and c.  A point whose sign of b has
-    no slope (nan) gets nan; non-finite entries carry through.
+    Evaluates b and only the diagonal entry the term uses (a for gamma0, c
+    for gamma2), in one ``evaluate`` call.  Elementwise: ``tan1`` serves the
+    points with b > 0 and ``tan2`` those with b < 0; points with b = 0 give
+    the plain entry.  A point whose sign of b has no slope (nan) gets nan;
+    non-finite entries carry through.
     """
+    d, b = evaluate(((field.a, field.c)[which], field.b), x, y)
     tan = np.where(b > 0.0, tan1, tan2)
-    zero = b == 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(zero, a, a - b / tan), np.where(zero, c, c - b * tan)
+        return np.where(b == 0.0, d, d - b / tan if which == 0 else d - b * tan)
 
 
 def split_values(a: float, b: float, c: float, tan1: float | None, tan2: float | None):

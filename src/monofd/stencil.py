@@ -15,8 +15,8 @@ The planner picks, per interior node, the smallest m whose direction table
 contains slopes strictly inside the node's admissible intervals.  Intervals
 are sampled over the ball of the field-wide planning radius around the node.
 The chosen slopes are then checked at the node's four axis-edge midpoints,
-where assembly evaluates the x- and y-term coefficients (both sides use
-``splitting.axis_coefficients``); a node that fails
+where assembly evaluates the x- and y-term coefficients (both sides call
+``splitting.axis_gamma``); a node that fails
 is replanned over the ball augmented with its center and those midpoints,
 so the assembled sign structure follows from strict interval placement
 rather than from a mesh-size assumption.
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import PlanningError
 from .field import DiffusionField, ProbeTable, SplittingConstants
 from .grid import Grid
-from .splitting import SLOPE_REDUCTIONS, AngleIntervals, axis_coefficients, slope_bounds, slope_ratios
+from .splitting import SLOPE_REDUCTIONS, AngleIntervals, axis_gamma, slope_bounds, slope_ratios
 
 __all__ = [
     "StencilChoice",
@@ -284,10 +284,6 @@ class GridPlan:
     m: np.ndarray
     i1: np.ndarray  # 0 means no plus direction
     i2: np.ndarray  # 0 means no minus direction
-    a_sup: np.ndarray
-    b_inf: np.ndarray
-    c_sup: np.ndarray
-    d_inf: np.ndarray
     fallback_nodes: int = 0  # nodes replanned over the midpoint-augmented intervals
     empty_balls: int = 0  # nodes whose planning ball held no probe sample
 
@@ -329,8 +325,7 @@ class GridPlan:
 
 
 class _SpecialPoints:
-    """Tensor samples at each node's 4 axis-edge midpoints, and slope bounds
-    over those and the node's center.
+    """Each node's center and 4 axis-edge midpoints.
 
     The midpoints are exactly the points where assembly evaluates the
     axis-term coefficients, so they back the post-selection safety check;
@@ -341,33 +336,36 @@ class _SpecialPoints:
     def __init__(self, field: DiffusionField, grid: Grid):
         self.field = field
         self.x, self.y = grid.interior_coords()
-        half = 0.5 * grid.h
-        pts_x = np.stack([self.x - half, self.x + half, self.x, self.x])
-        pts_y = np.stack([self.y, self.y, self.y - half, self.y + half])
-        # Non-finite field values here are left to the checks below and to assembly.
-        self.a, self.b, self.c = field.tensor_arrays(pts_x, pts_y)
+        self.half = 0.5 * grid.h
+
+    def midpoints(self, idx):
+        """The x-edge midpoints X -+ h/2 and the y-edge midpoints Y -+ h/2 of
+        the nodes ``idx``, each as (xs, ys) with one row per point."""
+        x, y, half = self.x[idx], self.y[idx], self.half
+        x_edges = np.stack([x - half, x + half]), np.stack([y, y])
+        y_edges = np.stack([x, x]), np.stack([y - half, y + half])
+        return x_edges, y_edges
 
     def bounds(self, idx: np.ndarray):
         """The four slope bounds of each node of ``idx`` over its center and
         4 midpoints."""
-        center = self.field.tensor_arrays(self.x[idx], self.y[idx])
-        # take keeps the rows contiguous, so the reductions below run along them.
-        a, b, c = (np.vstack([at, on.take(idx, axis=1)]) for at, on in zip(center, (self.a, self.b, self.c)))
+        (xx, xy), (yx, yy) = self.midpoints(idx)
+        a, b, c = self.field.tensor_arrays(np.vstack([self.x[idx], xx, yx]), np.vstack([self.y[idx], xy, yy]))
         g, f = slope_ratios(a, b, c)
         return slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
 
-    def choice_is_safe(self, idx: np.ndarray, m: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-        """Per node of ``idx`` planned with (m, i1, i2): gamma0/gamma2 are
-        nonnegative at the 4 edge midpoints.
+    def choice_is_safe(self, idx, m: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+        """Per node of ``idx`` (an index array or ``slice(None)``) planned with
+        (m, i1, i2): gamma0 at the x-edge and gamma2 at the y-edge midpoints
+        are nonnegative.
 
         A midpoint carrying a sign of b for which the choice has no direction
         has an undefined (nan) coefficient, and is unsafe like a negative one.
         """
-        a, b, c = self.a[:, idx], self.b[:, idx], self.c[:, idx]
-        gamma0, gamma2 = axis_coefficients(a, b, c, direction_slopes(m, i1), direction_slopes(m, i2))
-        # x-edge midpoints carry gamma0, y-edge midpoints gamma2
-        gamma = np.concatenate([gamma0[:2], gamma2[2:]])
-        return (gamma >= 0.0).all(axis=0)
+        tan1, tan2 = direction_slopes(m, i1), direction_slopes(m, i2)
+        gamma0, gamma2 = (axis_gamma(self.field, xs, ys, tan1, tan2, which)
+                          for which, (xs, ys) in enumerate(self.midpoints(idx)))
+        return (gamma0 >= 0.0).all(axis=0) & (gamma2 >= 0.0).all(axis=0)
 
 
 def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> GridPlan:
@@ -390,8 +388,7 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
     axis = np.arange(1, grid.n) / grid.n
     bounds, empty = table.ball_bounds(axis, axis, table.constants.radius)
     m, i1, i2 = _select(bounds, m_cap, DEFAULT_SAFETY, fixed_m)
-    every = np.arange(grid.interior_count)
-    fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(every, m, i1, i2))
+    fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(slice(None), m, i1, i2))
 
     # The midpoints are exact members of the merged sample set, so strict
     # placement alone protects them; no margin here keeps the fallback
@@ -416,8 +413,6 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
         raise PlanningError(message, node=(j, k))
     for out, values in zip((m, i1, i2), replan):
         out[fallback] = values
-    for ball, values in zip(bounds, merged):
-        ball[fallback] = values
 
     return GridPlan(
         grid=grid,
@@ -425,10 +420,6 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
         m=m,
         i1=i1,
         i2=i2,
-        a_sup=bounds[0],
-        b_inf=bounds[1],
-        c_sup=bounds[2],
-        d_inf=bounds[3],
         fallback_nodes=int(fallback.size),
         empty_balls=int(empty.sum()),
     )

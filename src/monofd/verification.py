@@ -148,7 +148,7 @@ def boundary_extrema(problem: Problem, grid: Grid) -> tuple[float, float]:
 def _check_zero_source(problem: Problem, grid: Grid) -> None:
     X, Y = grid.interior_coords()
     worst = float(np.abs(problem.f(X, Y)).max())
-    if worst > 1e-13:
+    if not worst <= 1e-13:  # nan (a non-finite source) fails too
         raise ConfigError(
             f"extrema table requires a zero source term; max |f| on nodes is {worst:.3e}"
         )

@@ -1,5 +1,8 @@
+from unittest.mock import patch
+
 import pytest
 
+from monofd import stencil
 from monofd.field import DiffusionField, ProbeTable, field_from_expressions
 from monofd.problems import built_in_problem
 from monofd.verification import Prepared, prepare
@@ -48,3 +51,34 @@ def exam1_constants(prep_exam1):
 @pytest.fixture(scope="session")
 def identity_table() -> ProbeTable:
     return ProbeTable(identity_field(), 1e-2)
+
+
+def plan_with_bounds(grid, table, fixed_m=None):
+    """``plan_grid``'s plan, the slope bounds (A, B, C, D) it planned each
+    node on and the indices of its fallback nodes.
+
+    The bounds are the ball bounds of the first selection, with the merged
+    ball-and-special-point bounds of the fallback replan written in.  The
+    plan keeps neither, so they are read off the calls to ``_select`` and
+    ``_SpecialPoints.bounds``; patching them per call also works under
+    hypothesis, where function-scoped fixtures do not.
+    """
+    selections, fallbacks = [], []
+    select, special_bounds = stencil._select, stencil._SpecialPoints.bounds
+
+    def recording_select(bounds, *args):
+        selections.append(bounds)
+        return select(bounds, *args)
+
+    def recording_bounds(self, idx):
+        fallbacks.append(idx)
+        return special_bounds(self, idx)
+
+    with patch.object(stencil, "_select", recording_select), \
+            patch.object(stencil._SpecialPoints, "bounds", recording_bounds):
+        plan = stencil.plan_grid(grid, table, fixed_m)
+    (ball, merged), [fallback] = selections, fallbacks
+    bounds = tuple(v.copy() for v in ball)
+    for out, values in zip(bounds, merged):
+        out[fallback] = values
+    return plan, bounds, fallback

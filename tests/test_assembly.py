@@ -287,13 +287,17 @@ class TestPlanInconsistency:
 
 
 class TestAxisMidpoints:
-    def test_axis_terms_read_the_planners_sample_points(self, prep_exam1, monkeypatch):
-        # The planner's sign check takes gamma0 at X +- h/2 and gamma2 at
-        # Y +- h/2; the x term, the only one that reads a, and the y term, the
-        # only one that reads c, must use the same points.
-        grid = build_grid(11)
+    @pytest.mark.parametrize("stage", ["plan_grid", "assemble"])
+    def test_axis_terms_read_the_planners_sample_points(self, prep_exam1, monkeypatch, stage):
+        # The planner's sign check and assembly's x and y terms take gamma0
+        # at X +- h/2 and gamma2 at Y +- h/2.  The x term is the only reader
+        # of a and the y term the only reader of c, in both stages; exam1 at
+        # N=51 has no fallback node, whose center and midpoints the planner
+        # would also sample.
+        grid = build_grid(51)
         field = prep_exam1.problem.field
         plan = plan_grid(grid, prep_exam1.table)
+        assert plan.fallback_nodes == 0
         seen = {"a": set(), "c": set()}
         original = expressions.evaluate
 
@@ -307,7 +311,10 @@ class TestAxisMidpoints:
         for name, module in list(sys.modules.items()):
             if name.startswith("monofd") and getattr(module, "evaluate", None) is original:
                 monkeypatch.setattr(module, "evaluate", recording)
-        assemble(prep_exam1.problem, plan)
+        if stage == "plan_grid":
+            plan_grid(grid, prep_exam1.table)
+        else:
+            assemble(prep_exam1.problem, plan)
         X, Y = grid.interior_coords()
         half = 0.5 * grid.h
         assert seen["a"] == set(zip(X - half, Y)) | set(zip(X + half, Y))

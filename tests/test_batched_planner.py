@@ -23,22 +23,25 @@ from monofd.grid import build_grid
 from monofd.splitting import AngleIntervals
 from monofd.stencil import StencilChoice, _pick_integer, direction_slopes, plan_grid, select_stencil
 
+from conftest import plan_with_bounds
+
 PINNED = json.loads((Path(__file__).parent / "plan_digests.json").read_text())
 PREPARED = {"exam1": "prep_exam1", "exam3": "prep_exam3", "exam4-k10": "prep_exam4",
             "exam4-k100": "prep_exam4_k100"}
 
 
-def plan_digest(plan) -> str:
+def plan_digest(plan, bounds) -> str:
+    """sha256 of the planned arrays and the slope bounds the plan was made on."""
     h = hashlib.sha256()
-    for name in ("m", "i1", "i2", "tan1", "tan2", "a_sup", "b_inf", "c_sup", "d_inf"):
-        h.update(np.ascontiguousarray(getattr(plan, name)).tobytes())
+    for values in (plan.m, plan.i1, plan.i2, plan.tan1, plan.tan2, *bounds):
+        h.update(np.ascontiguousarray(values).tobytes())
     return h.hexdigest()
 
 
 def plan_case(request, case):
     problem, n = case.rsplit("-N", 1)
     prep = request.getfixturevalue(PREPARED[problem])
-    return lambda: plan_grid(build_grid(int(n)), prep.table)
+    return lambda: plan_with_bounds(build_grid(int(n)), prep.table)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
@@ -50,8 +53,8 @@ def test_plan_matches_per_node_planner(request, case):
             plan()
         assert info.value.node == tuple(pinned["node"])
         return
-    result = plan()
-    assert plan_digest(result) == pinned["digest"]
+    result, bounds, _ = plan()
+    assert plan_digest(result, bounds) == pinned["digest"]
     assert (result.fallback_nodes, result.empty_balls) == (pinned["fallback_nodes"], pinned["empty_balls"])
 
 

@@ -259,9 +259,17 @@ class TestStudyCommands:
         assert len(lines) == 3
         assert "dmp=holds" in capsys.readouterr().out
 
-    def test_dmp_rejects_nonzero_source(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert run_cli("dmp", "exam2", "--n", "11", "--out", str(out)) == EXIT_CONFIG
+    @pytest.mark.parametrize("problem", [
+        ("exam2", "--n", "11"),
+        # f is nan everywhere, which no comparison with a bound lets through
+        ("--config", "{cfg}", "--n", "4"),
+        ("--config", "{cfg}", "--n", "4", "--force"),
+    ], ids=["exam2", "nan-source", "nan-source-force"])
+    def test_dmp_rejects_nonzero_source(self, tmp_path, capsys, problem):
+        out, cfg = tmp_path / "o", tmp_path / "run.cfg"
+        cfg.write_text("a=1\nb=0\nc=1\nf=1/0 - 1/0\ng=x\n")
+        argv = [arg.format(cfg=cfg) for arg in problem]
+        assert run_cli("dmp", *argv, "--out", str(out)) == EXIT_CONFIG
         assert "zero source" in capsys.readouterr().err
         assert not (out / "dmp.csv").exists()
 

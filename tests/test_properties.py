@@ -26,6 +26,8 @@ from monofd.solver import residual
 from monofd.stencil import plan_grid
 from monofd.verification import boundary_extrema, prepare, run_case
 
+from conftest import plan_with_bounds
+
 
 @st.composite
 def trig_sum(draw, terms=2):
@@ -85,10 +87,10 @@ def test_diagonally_dominant_tensor_plans_a_3x3_stencil(abc, n):
     # and the 3x3 stencil alone plans every node into an M-matrix.
     problem = problem_from_expressions("dominant", abc, f="0", g="0")
     table, grid = prepare(problem, probe_step=0.01).table, build_grid(n)
-    plan = plan_grid(grid, table)
-    plus, minus = plan.a_sup > -np.inf, plan.d_inf < np.inf
-    assert (plan.a_sup[plus] < 1.0).all() and (plan.b_inf[plus] > 1.0).all()
-    assert (plan.c_sup[minus] < -1.0).all() and (plan.d_inf[minus] > -1.0).all()
+    plan, (a_sup, b_inf, c_sup, d_inf), _ = plan_with_bounds(grid, table)
+    plus, minus = a_sup > -np.inf, d_inf < np.inf
+    assert (a_sup[plus] < 1.0).all() and (b_inf[plus] > 1.0).all()
+    assert (c_sup[minus] < -1.0).all() and (d_inf[minus] > -1.0).all()
     assert audit_m_matrix(assemble(problem, plan)).passed
     plan = plan_grid(grid, table, fixed_m=1)
     assert plan.max_m == 1 and audit_m_matrix(assemble(problem, plan)).passed

@@ -22,6 +22,8 @@ from monofd.stencil import (
     stencil_upper_bound,
 )
 
+from conftest import plan_with_bounds
+
 
 def intervals(a=-np.inf, b=np.inf, c=-np.inf, d=np.inf):
     return AngleIntervals(a, b, c, d)
@@ -206,21 +208,12 @@ class TestPlanGrid:
         assert not plan.i1.any() and not plan.i2.any()
 
     @pytest.mark.parametrize("prep, n, fallback", [("prep_exam1", 20, 4), ("prep_exam4_k100", 201, 200 * 200)])
-    def test_fallback_bounds_are_five_point_bounds(self, prep, n, fallback, request, monkeypatch):
+    def test_fallback_bounds_are_five_point_bounds(self, prep, n, fallback, request):
         # Only the fallback nodes' special-point bounds are formed.  They are
         # the slope bounds over each node's center and 4 axis-edge midpoints,
-        # recounted here as one five-point sample, and merge into the plan's.
+        # recounted here as one five-point sample, and merge into the ball's.
         table, grid = request.getfixturevalue(prep).table, build_grid(n)
-        formed = []
-        bounds = stencil._SpecialPoints.bounds
-
-        def spy(self, idx):
-            formed.append((idx, bounds(self, idx)))
-            return formed[-1][1]
-
-        monkeypatch.setattr(stencil._SpecialPoints, "bounds", spy)
-        plan = plan_grid(grid, table)
-        [(idx, got)] = formed
+        plan, planned, idx = plan_with_bounds(grid, table)
         assert idx.size == plan.fallback_nodes == fallback
         X, Y = grid.interior_coords()
         x, y, half = X[idx], Y[idx], 0.5 * grid.h
@@ -228,9 +221,9 @@ class TestPlanGrid:
                                             np.stack([y, y, y, y - half, y + half]))
         g, f = slope_ratios(a, b, c)
         want = slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
+        got = stencil._SpecialPoints(table.field, grid).bounds(idx)
         axis = np.arange(1, n) / n
         ball = table.ball_bounds(axis, axis, table.constants.radius)[0]
-        planned = (plan.a_sup, plan.b_inf, plan.c_sup, plan.d_inf)
         for (ufunc, _), got_k, want_k, ball_k, planned_k in zip(SLOPE_REDUCTIONS, got, want, ball, planned):
             assert np.array_equal(got_k, want_k)
             assert np.array_equal(planned_k[idx], ufunc(ball_k[idx], want_k))
@@ -252,13 +245,13 @@ class TestPlanGrid:
         assert plan.m_histogram() == {1: 400}
 
     def test_planned_slopes_inside_intervals(self, prep_exam4):
-        plan = plan_grid(build_grid(31), prep_exam4.table)
+        plan, (a_sup, b_inf, c_sup, d_inf), _ = plan_with_bounds(build_grid(31), prep_exam4.table)
         active1 = plan.i1 != 0
-        assert np.all(plan.tan1[active1] > plan.a_sup[active1])
-        assert np.all(plan.tan1[active1] < plan.b_inf[active1])
+        assert np.all(plan.tan1[active1] > a_sup[active1])
+        assert np.all(plan.tan1[active1] < b_inf[active1])
         active2 = plan.i2 != 0
-        assert np.all(plan.tan2[active2] > plan.c_sup[active2])
-        assert np.all(plan.tan2[active2] < plan.d_inf[active2])
+        assert np.all(plan.tan2[active2] > c_sup[active2])
+        assert np.all(plan.tan2[active2] < d_inf[active2])
 
     def test_m1_plans_use_diagonals_when_b_present(self, prep_exam3):
         plan = plan_grid(build_grid(21), prep_exam3.table)
