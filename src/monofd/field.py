@@ -38,8 +38,8 @@ __all__ = [
 DOMAIN_DIAMETER = math.sqrt(2.0)
 
 # Cap on the running-reduction tables ProbeTable.ball_bounds builds for one
-# sign-masked ratio and one chunk of center rows; 2 MB measured fastest
-# (1 MB and 4 MB slower, 8 MB about 20% slower).
+# sign-masked ratio and one chunk of center rows; 2 MB measured fastest or
+# even with 4 MB (0.5 MB about 30% slower, 8 MB 4-27% slower).
 _CHUNK_BYTES = 1 << 21
 
 # Finest probe step accepted; its lattice already holds 1e8 samples per array.
@@ -118,15 +118,14 @@ class ProbeTable:
         Returns the four bound arrays and a boolean array marking the balls
         that hold no probe sample.  A lattice sample is in a ball when
         dx2 + dy2 < radius**2, over the squared offsets of
-        ``_squared_offsets``.  For a row of centers, dy2 is least at the
-        center lattice row and does not fall away from it, and the float sum
-        is monotone in dy2, so in each lattice column a ball holds a prefix
-        of the arm running down from the center lattice row and a prefix of
-        the arm running up from the row above it.  Their lengths come from a
+        ``_squared_offsets``.  Each row of centers has one arm: its window
+        rows in increasing dy2, ties in lattice order.  The float sum is
+        monotone in dy2, so in each lattice column a ball holds a prefix of
+        its arm, equal dy2 in or out together.  Its length comes from a
         search over the sorted distinct dx2, and each column's bound from
-        two lookups in running reductions of the sign-masked ratios along
-        the two arms.  The tables cover a chunk of center rows at a time, at
-        most ``_CHUNK_BYTES`` per ratio; no per-node mask is built.
+        one lookup in running reductions of the sign-masked ratios along the
+        arm.  The tables cover a chunk of center rows at a time, at most
+        ``_CHUNK_BYTES`` per ratio; no per-node mask is built.
         """
         xs, step, last = self.xs, self.step, self.xs.size - 1
 
@@ -160,31 +159,23 @@ class ProbeTable:
         col = np.clip(ilo - i0 + np.arange(dx2.shape[0])[:, None], 0, width - 1)[:, :, None]
 
         dy2 = self._squared_offsets(yc[rows], jlo, jhi)
-        center = dy2.argmin(axis=1)
-        steps = np.arange(dy2.shape[1])[:, None]
-        lengths, arm_rows = [], []
-        for at in (center - steps, center + 1 + steps):
-            inside = (at >= 0) & (at < dy2.shape[1])
-            offsets = np.where(inside, dy2[np.arange(rows.size), np.clip(at, 0, dy2.shape[1] - 1)], np.inf)
-            size = int(np.isfinite(offsets).sum(axis=0).max())
-            lengths.append(_prefix_lengths(values, offsets[:size], r2))
-            # The arm's box rows, clipped past its end, where no lookup reaches.
-            arm_rows.append(np.clip(jlo - j0 + at[:size], 0, height - 1))
+        order = np.argsort(dy2, axis=1, kind="stable")
+        lengths = _prefix_lengths(values, np.take_along_axis(dy2, order, axis=1).T, r2)
+        # The arms' box rows, clipped past a window's end, where no lookup reaches.
+        arms = np.clip(jlo - j0 + order.T, 0, height - 1)
 
-        chunk = max(1, _CHUNK_BYTES // (8 * width * sum(arm.shape[0] + 1 for arm in arm_rows)))
+        chunk = max(1, _CHUNK_BYTES // (8 * width * (arms.shape[0] + 1)))
         for start in range(0, rows.size, chunk):
             span = slice(start, start + chunk)
             block = rows[span]
-            # How many samples each window column takes from each arm, then
+            # How many samples each window column takes from its arm, then
             # where the arm's running reductions hold them.
-            taken = [_arm_prefixes(n[:, span], rank, values.size) for n in lengths]
-            # The down arm starts at the least dy2: a column without a
-            # sample from it has none from the up arm either.
-            empty[block] = (taken[0] == 0).all(axis=0).T
-            lookup = [((n * block.size + np.arange(block.size)) * width + col).reshape(-1) for n in taken]
+            taken = _arm_prefixes(lengths[:, span], rank, values.size)
+            empty[block] = (taken == 0).all(axis=0).T
+            lookup = ((taken * block.size + np.arange(block.size)) * width + col).reshape(-1)
             for out, part, (ufunc, fill) in zip(bounds, parts, SLOPE_REDUCTIONS):
-                down, up = (_running(ufunc, fill, part, arm[:, span]).take(i) for arm, i in zip(arm_rows, lookup))
-                out[block] = ufunc.reduce(ufunc(down, up).reshape(taken[0].shape), axis=0).T
+                found = _running(ufunc, fill, part, arms[:, span]).take(lookup)
+                out[block] = ufunc.reduce(found.reshape(taken.shape), axis=0).T
         return tuple(out.reshape(-1) for out in bounds), empty.reshape(-1)
 
     def _squared_offsets(self, centers, lo, hi):
@@ -212,8 +203,10 @@ def _arm_prefixes(lengths, rank, size):
     how many of the arm's entries k have rank < lengths[k]; the arms run
     along the last axis of the result.
 
-    ``lengths`` holds ``_prefix_lengths`` of ``size`` sorted values; it is
-    non-increasing along each arm, so the entries counted are a prefix.
+    An arm is one center row's window rows in increasing dy2, and
+    ``lengths`` holds, per arm entry, ``_prefix_lengths`` of ``size`` sorted
+    values; it is non-increasing along each arm, so the entries counted are
+    a prefix.
     """
     arms = lengths.shape[1]
     counts = np.bincount((lengths * arms + np.arange(arms)).reshape(-1), minlength=(size + 1) * arms)
@@ -224,8 +217,8 @@ def _arm_prefixes(lengths, rank, size):
 
 def _running(ufunc, fill, part, arm_rows):
     """Running reductions of ``part`` along the box rows of each arm (a
-    column of ``arm_rows``): entry p reduces an arm's first p rows, with
-    ``fill`` for p = 0."""
+    column of ``arm_rows``, one center row's window rows in increasing dy2):
+    entry p reduces an arm's first p rows, with ``fill`` for p = 0."""
     table = np.empty((arm_rows.shape[0] + 1, arm_rows.shape[1], part.shape[1]))
     table[0] = fill
     for p, at in enumerate(arm_rows):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from monofd import field
 from monofd.field import ProbeTable, field_from_expressions
 from monofd.splitting import SLOPE_REDUCTIONS, masked_ratios
 from test_batched_planner import PINNED, PREPARED
@@ -90,14 +91,37 @@ def test_kernel_matches_gather_on_planned_grids(request, case):
     assert_kernel_matches_gather(table, grid_axis(int(n)), grid_axis(int(n)), table.constants.radius)
 
 
-@pytest.mark.parametrize("pitches", [1, 2, 5])
+def edge_table():
+    """A probe table on the 1/16 lattice, whose points and midpoints are
+    exact in binary, so chosen centers and radii put samples on ball edges."""
+    return ProbeTable(field_from_expressions("edge", "2 + sin(x)", "x - y", "2 + cos(y)"), 1 / 16)
+
+
+@pytest.mark.parametrize("pitches", [0.5, 1, 1.5, 2, 2.5, 3, 5])
 def test_kernel_matches_gather_with_samples_on_the_ball_edge(pitches):
     # On a 1/16 lattice, centers at lattice points and radii of whole pitches
     # put samples exactly on the circle (5**2 = 3**2 + 4**2), where the
-    # strict test dx2 + dy2 < radius**2 decides.
-    table = ProbeTable(field_from_expressions("edge", "2 + sin(x)", "x - y", "2 + cos(y)"), 1 / 16)
-    axis = np.arange(17) / 16
-    assert_kernel_matches_gather(table, axis, axis, pitches / 16)
+    # strict test dx2 + dy2 < radius**2 decides.  Centers half a pitch off
+    # the lattice lie midway between lattice rows c and c + 1, whose dy2 are
+    # equal, and radii of half pitches put such pairs on the circle too
+    # (2.5**2 = 1.5**2 + 2**2): both rows are in a ball or neither is.
+    axis = np.arange(33) / 32
+    assert_kernel_matches_gather(edge_table(), axis, axis, pitches / 16)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 30], ids=["row-per-chunk", "one-chunk"])
+def test_kernel_does_not_depend_on_the_chunk_size(monkeypatch, prep_exam2, chunk_bytes):
+    cases = [
+        (prep_exam2.table, grid_axis(81), prep_exam2.table.constants.radius),
+        (edge_table(), np.arange(33) / 32, 3 / 16),
+    ]
+    want = [table.ball_bounds(axis, axis, radius) for table, axis, radius in cases]
+    monkeypatch.setattr(field, "_CHUNK_BYTES", chunk_bytes)
+    for (table, axis, radius), (want_bounds, want_empty) in zip(cases, want):
+        got_bounds, got_empty = table.ball_bounds(axis, axis, radius)
+        for name, w, g in zip("ABCD", want_bounds, got_bounds):
+            assert w.tobytes() == g.tobytes(), name
+        assert np.array_equal(want_empty, got_empty)
 
 
 # Centers anywhere in the square, and on a 1/200 lattice: the points of every
