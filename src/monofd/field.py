@@ -119,12 +119,12 @@ class ProbeTable:
         that hold no probe sample.  A lattice sample is in a ball when
         dx2 + dy2 < radius**2, over the squared offsets of
         ``_squared_offsets``.  Each row of centers has one arm: its window
-        rows in increasing dy2, ties in lattice order.  The float sum is
-        monotone in dy2, so in each lattice column a ball holds a prefix of
-        its arm, equal dy2 in or out together.  Its length comes from a
-        search over the sorted distinct dx2, and each column's bound from
-        one lookup in running reductions of the sign-masked ratios along the
-        arm.  The tables cover a chunk of center rows at a time, at most
+        rows in increasing dy2.  The float sum is monotone in dy2, so in
+        each lattice column a ball holds a prefix of its arm; rows of equal
+        dy2 are in or out together, so their order does not matter.  Its
+        length comes from a search over the sorted distinct dx2, and each
+        column's bound from one lookup in running reductions of the
+        sign-masked ratios along the arm.  The tables cover a chunk of center rows at a time, at most
         ``_CHUNK_BYTES`` per ratio; no per-node mask is built.
         """
         xs, step, last = self.xs, self.step, self.xs.size - 1
@@ -159,7 +159,7 @@ class ProbeTable:
         col = np.clip(ilo - i0 + np.arange(dx2.shape[0])[:, None], 0, width - 1)[:, :, None]
 
         dy2 = self._squared_offsets(yc[rows], jlo, jhi)
-        order = np.argsort(dy2, axis=1, kind="stable")
+        order = np.argsort(dy2, axis=1)
         lengths = _prefix_lengths(values, np.take_along_axis(dy2, order, axis=1).T, r2)
         # The arms' box rows, clipped past a window's end, where no lookup reaches.
         arms = np.clip(jlo - j0 + order.T, 0, height - 1)

@@ -1,18 +1,11 @@
-import os
 from unittest.mock import patch
 
 import pytest
-from hypothesis import settings
 
 from monofd import stencil
 from monofd.field import DiffusionField, ProbeTable, field_from_expressions
 from monofd.problems import built_in_problem
 from monofd.verification import Prepared, prepare
-
-# HYPOTHESIS_PROFILE=ci prints the blob that reproduces a failing example;
-# per-test @settings still set their own example counts.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
