@@ -24,7 +24,6 @@ values surface as an undefined coefficient or in the audit.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import AssemblyError
-from .expressions import Expression
+from .expressions import Expression, evaluate
 from .field import DiffusionField
 from .grid import Grid
 from .splitting import GAMMA_TOLERANCE, axis_gamma
@@ -110,6 +109,13 @@ def _node_error(grid: Grid, row: int, message: str) -> AssemblyError:
     return AssemblyError(f"{message} at node (j={j}, k={k})", node=(j, k))
 
 
+def _axis_gamma(field: DiffusionField, tan1, tan2, which: int):
+    """gamma0 (which=0) along x or gamma2 (which=1) along y, from one
+    ``evaluate`` call over b and the diagonal entry the term uses."""
+    diagonal = (field.a, field.c)[which]
+    return lambda xs, ys: axis_gamma(*evaluate((diagonal, field.b), xs, ys), tan1, tan2, which)
+
+
 def _diagonal_gamma(field: DiffusionField, slope, side: str):
     """gamma1 along directions of the given slopes; zero off their sign part."""
     part = np.maximum if side == "plus" else np.minimum
@@ -141,8 +147,8 @@ def assemble(problem: Problem, plan: GridPlan) -> SparseSystem:
         # gamma0 along x and gamma2 along y at every node; nan where b has a
         # sign the plan has no direction for, which _check_nonnegative reports
         for which, (label, dx, dy) in enumerate((("gamma-x", 1, 0), ("gamma-y", 0, 1))):
-            gamma = functools.partial(axis_gamma, field, tan1=tan1, tan2=tan2, which=which)
-            _assemble_direction(entries, rhs, problem, grid, every, J, K, dx, dy, gamma, label)
+            _assemble_direction(entries, rhs, problem, grid, every, J, K, dx, dy,
+                                _axis_gamma(field, tan1, tan2, which), label)
         # gamma1 along the planned direction of each sign part
         for side, i_arr, tan in (("plus", plan.i1, tan1), ("minus", plan.i2, tan2)):
             rows = np.flatnonzero(i_arr)

@@ -13,8 +13,8 @@ to inf and ``(-1)**0.5`` to nan, as they evaluate.  Calling an expression
 on scalars or numpy arrays returns a read-only float64 array with the
 broadcast shape of the points; a constant tree costs no point-sized
 buffer.  Callers that write into a result copy it.  ``evaluate`` does the
-same for several trees at once, by a loop rather than a recursion; given
-more than one, it computes each distinct subtree of theirs once.
+same for one tree or several at once, by a loop rather than a recursion,
+and computes each distinct subtree of theirs once.
 """
 
 from __future__ import annotations
@@ -158,10 +158,10 @@ class Func(Expression):
 def evaluate(roots, x, y) -> tuple:
     """Each tree of ``roots`` at the points (x, y), as ``Expression.__call__``
     returns it, by a loop over a post-order program rather than a recursion.
-    Several roots merge equal subtrees, each computed once; one root is
-    walked node by node, so it holds no more values than a recursive visit.
-    A value is dropped after its last reader.  Each step applies a recursive
-    visit's operation to the same operands: the values are bit-identical.
+    Equal subtrees, within one root or across several, are merged and
+    computed once; a value is dropped after its last reader.  Each step
+    applies a recursive visit's operation to the same operands: the values
+    are bit-identical.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     order, stack = [], list(roots)
@@ -172,8 +172,7 @@ def evaluate(roots, x, y) -> tuple:
     for fn, operands, key in reversed(order):
         args = tuple(done[len(done) - len(operands):])
         del done[len(done) - len(operands):]
-        if key is None:
-            key = (fn, *args) if len(roots) > 1 else object()
+        key = (fn, *args) if key is None else key
         if key not in slots:
             slots[key] = len(slots)
             steps.append((fn, args))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanError
-from .expressions import evaluate
 
 __all__ = [
     "AngleIntervals",
@@ -95,16 +94,14 @@ def _inv_cos_sin(tan_beta: float):
     return 1.0 / tan_beta + tan_beta
 
 
-def axis_gamma(field, x, y, tan1, tan2, which: int):
-    """gamma0 (which=0) or gamma2 (which=1) of the x or y term at points (x, y).
+def axis_gamma(d, b, tan1, tan2, which: int):
+    """gamma0 (which=0) or gamma2 (which=1) of the x or y term from samples
+    of b and of the diagonal entry the term uses: d = a for gamma0, c for gamma2.
 
-    Evaluates b and only the diagonal entry the term uses (a for gamma0, c
-    for gamma2), in one ``evaluate`` call.  Elementwise: ``tan1`` serves the
-    points with b > 0 and ``tan2`` those with b < 0; points with b = 0 give
-    the plain entry.  A point whose sign of b has no slope (nan) gets nan;
-    non-finite entries carry through.
+    Elementwise: ``tan1`` serves the samples with b > 0 and ``tan2`` those
+    with b < 0; samples with b = 0 give d.  A sample whose sign of b has no
+    slope (nan) gets nan; non-finite entries carry through.
     """
-    d, b = evaluate(((field.a, field.c)[which], field.b), x, y)
     tan = np.where(b > 0.0, tan1, tan2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(b == 0.0, d, d - b / tan if which == 0 else d - b * tan)

@@ -15,17 +15,19 @@ The planner picks, per interior node, the smallest m whose direction table
 contains slopes strictly inside the node's admissible intervals.  Intervals
 are sampled over the ball of the field-wide planning radius around the node.
 The chosen slopes are then checked at the node's four axis-edge midpoints,
-where assembly evaluates the x- and y-term coefficients (both sides call
-``splitting.axis_gamma``); a node that fails
-is replanned over the ball augmented with its center and those midpoints,
-so the assembled sign structure follows from strict interval placement
-rather than from a mesh-size assumption.
+where assembly evaluates the x- and y-term coefficients (both sides sample
+the field there and apply ``splitting.axis_gamma``); a node that fails is
+replanned over the ball augmented with its center and those midpoints, so
+the assembled sign structure follows from strict interval placement rather
+than from a mesh-size assumption.
 
-Planning is batched: the ball bounds of every node come from one
-``ProbeTable.ball_bounds`` call, and selection runs as one pass per
-half-width m over the nodes still unresolved, first over all nodes and
-then over the fallback subset.  ``select_stencil`` and
-``ProbeTable.window_intervals`` are the one-node forms of the same kernels.
+Planning is batched and samples the field once per stage: one
+``ProbeTable.ball_bounds`` call for every node's ball, one ``evaluate`` call
+per axis for the first sign check, and one at the fallback nodes' centers
+and midpoints, read by both their merged bounds and the replan's check.
+Selection runs one pass per half-width m over the nodes still unresolved,
+first over all nodes, then over the fallback subset.  ``select_stencil``
+and ``ProbeTable.window_intervals`` are the one-node forms of the kernels.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PlanningError
-from .field import DiffusionField, ProbeTable, SplittingConstants
+from .expressions import evaluate
+from .field import ProbeTable, SplittingConstants
 from .grid import Grid
 from .splitting import SLOPE_REDUCTIONS, AngleIntervals, axis_gamma, slope_bounds, slope_ratios
 
@@ -178,8 +181,9 @@ def _select(bounds, m_cap: int, safety: float, fixed_m: int | None):
     return m_out, i1, i2
 
 
-def _no_stencil(intervals: AngleIntervals, m_cap: int) -> PlanningError:
-    return PlanningError(f"no admissible stencil with half-width <= {m_cap} for intervals {intervals}")
+def _no_stencil(intervals: AngleIntervals, m_cap: int, fixed_m: int | None) -> PlanningError:
+    tried = f"half-width <= {m_cap}" if fixed_m is None else f"half-width {fixed_m}"
+    return PlanningError(f"no admissible stencil with {tried} for intervals {intervals}")
 
 
 def select_stencil(
@@ -192,14 +196,14 @@ def select_stencil(
 
     The search first applies the safety margin; if nothing fits under the cap
     it retries on the raw open intervals, so the guaranteed bound on m is not
-    weakened by the margin.  Empty sign parts impose no constraint.
-    One-node form of the planner's array selection.
+    weakened by the margin.  Empty sign parts impose no constraint.  Only
+    ``fixed_m`` is tried when given; one-node form of the planner's selection.
     """
     bounds = tuple(np.array([v], dtype=float) for v in
                    (intervals.a_sup, intervals.b_inf, intervals.c_sup, intervals.d_inf))
     m, i1, i2 = (v[0] for v in _select(bounds, m_cap, safety, fixed_m))
     if m == 0:
-        raise _no_stencil(intervals, m_cap)
+        raise _no_stencil(intervals, m_cap, fixed_m)
     tan1, tan2 = (float(direction_slopes(m, i)) if i else None for i in (i1, i2))
     return StencilChoice(int(m), int(i1) if i1 else None, int(i2) if i2 else None, tan1, tan2)
 
@@ -324,48 +328,28 @@ class GridPlan:
             stream.write(f"{J[idx]} {K[idx]} {m} {i1} {t1} {i2} {t2} {clipped[idx]}\n")
 
 
-class _SpecialPoints:
-    """Each node's center and 4 axis-edge midpoints.
+def _axis_points(x, y, half: float, idx):
+    """Centers of the nodes ``idx`` (an index array or ``slice(None)``) of the
+    interior coordinates (x, y), and their x-edge midpoints x -+ half and
+    y-edge midpoints y -+ half, each as (xs, ys) with one row per point."""
+    x, y = x[idx], y[idx]
+    x_edges = np.stack([x - half, x + half]), np.stack([y, y])
+    y_edges = np.stack([x, x]), np.stack([y - half, y + half])
+    return (x, y), x_edges, y_edges
 
-    The midpoints are exactly the points where assembly evaluates the
-    axis-term coefficients, so they back the post-selection safety check;
-    with the center they extend the planning intervals of the nodes that
-    fall back, the only ones whose bounds are formed.
+
+def _axis_safe(samples, m: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """Per node planned with (m, i1, i2): gamma0 at its x-edge and gamma2 at
+    its y-edge midpoints are nonnegative.
+
+    ``samples`` holds (a, b) at the x-edge and (c, b) at the y-edge
+    midpoints, one row per point.  A midpoint carrying a sign of b for which
+    the choice has no direction has an undefined (nan) coefficient, and is
+    unsafe like a negative one.
     """
-
-    def __init__(self, field: DiffusionField, grid: Grid):
-        self.field = field
-        self.x, self.y = grid.interior_coords()
-        self.half = 0.5 * grid.h
-
-    def midpoints(self, idx):
-        """The x-edge midpoints X -+ h/2 and the y-edge midpoints Y -+ h/2 of
-        the nodes ``idx``, each as (xs, ys) with one row per point."""
-        x, y, half = self.x[idx], self.y[idx], self.half
-        x_edges = np.stack([x - half, x + half]), np.stack([y, y])
-        y_edges = np.stack([x, x]), np.stack([y - half, y + half])
-        return x_edges, y_edges
-
-    def bounds(self, idx: np.ndarray):
-        """The four slope bounds of each node of ``idx`` over its center and
-        4 midpoints."""
-        (xx, xy), (yx, yy) = self.midpoints(idx)
-        a, b, c = self.field.tensor_arrays(np.vstack([self.x[idx], xx, yx]), np.vstack([self.y[idx], xy, yy]))
-        g, f = slope_ratios(a, b, c)
-        return slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
-
-    def choice_is_safe(self, idx, m: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
-        """Per node of ``idx`` (an index array or ``slice(None)``) planned with
-        (m, i1, i2): gamma0 at the x-edge and gamma2 at the y-edge midpoints
-        are nonnegative.
-
-        A midpoint carrying a sign of b for which the choice has no direction
-        has an undefined (nan) coefficient, and is unsafe like a negative one.
-        """
-        tan1, tan2 = direction_slopes(m, i1), direction_slopes(m, i2)
-        gamma0, gamma2 = (axis_gamma(self.field, xs, ys, tan1, tan2, which)
-                          for which, (xs, ys) in enumerate(self.midpoints(idx)))
-        return (gamma0 >= 0.0).all(axis=0) & (gamma2 >= 0.0).all(axis=0)
+    tan1, tan2 = direction_slopes(m, i1), direction_slopes(m, i2)
+    gamma0, gamma2 = (axis_gamma(d, b, tan1, tan2, which) for which, (d, b) in enumerate(samples))
+    return (gamma0 >= 0.0).all(axis=0) & (gamma2 >= 0.0).all(axis=0)
 
 
 def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> GridPlan:
@@ -373,40 +357,46 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
 
     Selection runs over the ball intervals (radius ``table.constants.radius``,
     independent of the mesh spacing) with the ``DEFAULT_SAFETY`` margin and
-    half-widths up to ``stencil_upper_bound``; the chosen angles are checked
-    for sign safety at the 4 axis-edge midpoints the assembler will use.
-    Unsafe nodes are replanned over the midpoint-augmented intervals, which
-    makes safety structural at the cost of a possibly larger m there.
-    Raises PlanningError naming the first node whose intervals admit no
-    direction pair under the cap.
+    half-widths up to ``stencil_upper_bound`` (``fixed_m`` alone when given);
+    the chosen angles are checked for sign safety at the 4 axis-edge
+    midpoints the assembler will use.  Unsafe nodes are replanned over the
+    midpoint-augmented intervals, which makes safety structural at the cost
+    of a possibly larger m there.  Raises PlanningError naming the first
+    fallback node whose intervals admit no direction pair at the half-widths
+    tried, or whose replanned pair is still not sign-safe.
     """
     m_cap = stencil_upper_bound(table.constants)
     if fixed_m is not None and not 1 <= fixed_m <= MAX_HALF_WIDTH:
         raise PlanningError(f"fixed stencil half-width must lie in [1, {MAX_HALF_WIDTH}], got {fixed_m}")
-    specials = _SpecialPoints(table.field, grid)
+    field, half = table.field, 0.5 * grid.h
+    # Allocated before the ball bounds: among the blocks they free, this heap
+    # layout raised exam3 N=511's solve peak RSS from 380 to 402 MB (glibc).
+    x, y = grid.interior_coords()
     # The interior coordinates of either axis, as in grid.interior_coords.
     axis = np.arange(1, grid.n) / grid.n
     bounds, empty = table.ball_bounds(axis, axis, table.constants.radius)
     m, i1, i2 = _select(bounds, m_cap, DEFAULT_SAFETY, fixed_m)
-    fallback = np.flatnonzero((m == 0) | ~specials.choice_is_safe(slice(None), m, i1, i2))
+    _, *edges = _axis_points(x, y, half, slice(None))
+    samples = [evaluate((d, field.b), xs, ys) for d, (xs, ys) in zip((field.a, field.c), edges)]
+    fallback = np.flatnonzero((m == 0) | ~_axis_safe(samples, m, i1, i2))
 
-    # The midpoints are exact members of the merged sample set, so strict
-    # placement alone protects them; no margin here keeps the fallback
-    # stencils as small as possible.
-    merged = tuple(
-        ufunc(ball[fallback], special)
-        for (ufunc, _), ball, special in zip(SLOPE_REDUCTIONS, bounds, specials.bounds(fallback))
-    )
+    # One sample of each fallback node's center and midpoints serves both
+    # its merged bounds and the replan's sign check.  The midpoints are exact
+    # members of the merged sample set, so strict placement alone protects
+    # them; no margin here keeps the fallback stencils as small as possible.
+    a, b, c = field.tensor_arrays(*(np.vstack(rows) for rows in zip(*_axis_points(x, y, half, fallback))))
+    special = slope_bounds(*slope_ratios(a, b, c), b > 0.0, b < 0.0, axis=0)
+    merged = tuple(ufunc(ball[fallback], v) for (ufunc, _), ball, v in zip(SLOPE_REDUCTIONS, bounds, special))
     replan = _select(merged, m_cap, 0.0, fixed_m)
     failed = replan[0] == 0
-    unsafe = ~failed & ~specials.choice_is_safe(fallback, *replan)
+    unsafe = ~failed & ~_axis_safe(((a[1:3], b[1:3]), (c[3:], b[3:])), *replan)
     bad = failed | unsafe
     if bad.any():
         first = int(np.argmax(bad))
         j, k = grid.node_from_linear(int(fallback[first]))
         intervals = AngleIntervals(*(float(v[first]) for v in merged))
         if failed[first]:
-            exc = _no_stencil(intervals, m_cap)
+            exc = _no_stencil(intervals, m_cap, fixed_m)
             message = f"planning failed at node (j={j}, k={k}): {exc}"
         else:
             message = f"no sign-safe direction pair at node (j={j}, k={k})"

@@ -1,5 +1,6 @@
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 
 from monofd import stencil
@@ -59,26 +60,42 @@ def plan_with_bounds(grid, table, fixed_m=None):
 
     The bounds are the ball bounds of the first selection, with the merged
     ball-and-special-point bounds of the fallback replan written in.  The
-    plan keeps neither, so they are read off the calls to ``_select`` and
-    ``_SpecialPoints.bounds``; patching them per call also works under
-    hypothesis, where function-scoped fixtures do not.
+    plan keeps neither, so they are read off the calls to ``_select``, and
+    the fallback nodes off the second call to ``_axis_points`` (the first
+    takes every node); patching them per call also works under hypothesis,
+    where function-scoped fixtures do not.
     """
-    selections, fallbacks = [], []
-    select, special_bounds = stencil._select, stencil._SpecialPoints.bounds
+    selections, points = [], []
+    select, axis_points = stencil._select, stencil._axis_points
 
     def recording_select(bounds, *args):
         selections.append(bounds)
         return select(bounds, *args)
 
-    def recording_bounds(self, idx):
-        fallbacks.append(idx)
-        return special_bounds(self, idx)
+    def recording_points(x, y, half, idx):
+        points.append(idx)
+        return axis_points(x, y, half, idx)
 
     with patch.object(stencil, "_select", recording_select), \
-            patch.object(stencil._SpecialPoints, "bounds", recording_bounds):
+            patch.object(stencil, "_axis_points", recording_points):
         plan = stencil.plan_grid(grid, table, fixed_m)
-    (ball, merged), [fallback] = selections, fallbacks
+    (ball, merged), (_, fallback) = selections, points
     bounds = tuple(v.copy() for v in ball)
     for out, values in zip(bounds, merged):
         out[fallback] = values
     return plan, bounds, fallback
+
+
+@pytest.fixture
+def directionless_replan(monkeypatch):
+    """Make ``plan_grid``'s replan, its one selection without a margin, keep
+    its half-widths but choose no direction for either sign part.  Every
+    fallback midpoint with b != 0 then has an undefined coefficient, so the
+    replanned choice is not sign-safe."""
+    select = stencil._select
+
+    def replan(bounds, m_cap, safety, fixed_m):
+        m, i1, i2 = select(bounds, m_cap, safety, fixed_m)
+        return (m, np.zeros_like(i1), np.zeros_like(i2)) if safety == 0.0 else (m, i1, i2)
+
+    monkeypatch.setattr(stencil, "_select", replan)

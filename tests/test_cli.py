@@ -104,6 +104,17 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and message in err
         assert (tmp_path / "manifest.txt").is_file()
 
+    def test_fixed_half_width_failure_names_that_half_width(self, tmp_path, capsys):
+        assert run_cli("plan", "exam4", "--n", "9", "--m", "1", "--out", str(tmp_path)) == EXIT_PLANNING
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "planning failed at node (j=1, k=1): no admissible stencil with half-width 1 for intervals" in err
+
+    def test_unsafe_replan_is_a_planning_failure(self, tmp_path, capsys, directionless_replan):
+        assert run_cli("plan", "exam1", "--n", "20", "--out", str(tmp_path)) == EXIT_PLANNING
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no sign-safe direction pair at node (j=" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--probe-step", "nan"), ("--tol", "0"), ("--k", "abc"), ("--k", "nan"), ("--m", "3000000000"),
     ])

@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monofd import expressions
 from monofd.errors import ConfigError
 from monofd.expressions import (
     MAX_DEPTH,
@@ -193,23 +193,21 @@ def test_signed_zero_constants_stay_apart():
     assert [math.copysign(1.0, float(v)) for v in values] == [-1.0, 1.0]
 
 
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_one_root_computes_a_repeated_subtree_once(monkeypatch):
+    # sin(x*y + y) occurs twice in one tree; it is computed once, from one
+    # x*y + y, and the value is the recursion's bit for bit.
+    calls = []
 
+    def counted_sin(values):
+        calls.append(values.shape)
+        return np.sin(values)
 
-def test_one_root_holds_no_more_values_than_the_recursion():
-    # Sharing s = x*y + y in one tree would keep it alive while the product
-    # is built: five point arrays at once where the recursion holds four.
-    e = parse_expression("sin(x*y + y) * ((x + 1)*(y + 2) + cos(x*y + y))")
-    x = np.linspace(0.0, 1.0, 100_000)
+    monkeypatch.setitem(expressions._UNARY_FUNCTIONS, "sin", counted_sin)
+    e = parse_expression("sin(x*y + y) * ((x + 1)*(y + 2) + sin(x*y + y))")
+    x = np.linspace(0.0, 1.0, 1000)
     y = x[::-1].copy()
-    limit = _traced_peak(lambda: oracle_call(e, x, y)) + x.nbytes // 2
-    assert _traced_peak(lambda: e(x, y)) <= limit
+    assert _bits([e(x, y)]) == _bits([oracle_call(e, x, y)])
+    assert calls == [x.shape]
 
 
 _AXIS = np.linspace(0.0, 1.0, 6)

@@ -3,8 +3,10 @@
 a = 1 + p**2 and c = 1 + q**2 for small trigonometric sums p and q, and
 b = t*sqrt(a*c)*sin(r) with |t| <= 0.95, so a*c - b**2 >= (1 - t**2)*a*c > 0
 everywhere.  With f = 0 the discrete maximum principle bounds the solution
-by the extrema of the Dirichlet data g.  A strictly diagonally dominant
-tensor, |b| < min(a, c), admits the 3x3 stencil at every node.  For a
+by the extrema of the Dirichlet data g.  Where the paper's mesh condition
+holds, the ball plan alone is safe: no node falls back, no ball is empty
+and the audit passes.  A strictly diagonally dominant tensor,
+|b| < min(a, c), admits the 3x3 stencil at every node.  For a
 constant tensor the three-point conservative difference is exact on linear
 functions, on arms clipped at the boundary too, so a linear solution is
 reproduced to rounding, or refused by the solver where its values lie below
@@ -23,18 +25,18 @@ from monofd.errors import PlanningError, SolverError
 from monofd.grid import build_grid
 from monofd.problems import problem_from_expressions
 from monofd.solver import residual
-from monofd.stencil import plan_grid
+from monofd.stencil import check_mesh_condition, plan_grid
 from monofd.verification import boundary_extrema, prepare, run_case
 
 from conftest import plan_with_bounds
 
 
 @st.composite
-def trig_sum(draw, terms=2):
-    """Grammar text of a sum of ``terms`` terms amp*sin(pi*(kx*x + ky*y) + phase)."""
+def trig_sum(draw, terms=2, scale=2.0):
+    """Grammar text of a sum of ``terms`` terms amp*sin(pi*(kx*x + ky*y) + phase), |amp| <= scale."""
     parts = []
     for _ in range(terms):
-        amp = draw(st.floats(-2.0, 2.0))
+        amp = draw(st.floats(-scale, scale))
         kx, ky = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         phase = draw(st.floats(0.0, 2.0 * math.pi))
         parts.append(f"{amp!r}*sin(pi*({kx}*x + {ky}*y) + {phase!r})")
@@ -42,11 +44,11 @@ def trig_sum(draw, terms=2):
 
 
 @st.composite
-def spd_tensor(draw):
+def spd_tensor(draw, scale=2.0, t_max=0.95):
     """Grammar text (a, b, c) of a uniformly positive definite tensor field."""
-    a = f"1 + ({draw(trig_sum())})**2"
-    c = f"1 + ({draw(trig_sum())})**2"
-    t = draw(st.floats(-0.95, 0.95))
+    a = f"1 + ({draw(trig_sum(scale=scale))})**2"
+    c = f"1 + ({draw(trig_sum(scale=scale))})**2"
+    t = draw(st.floats(-t_max, t_max))
     b = f"{t!r}*(({a})*({c}))**0.5*sin({draw(trig_sum(terms=1))})"
     return a, b, c
 
@@ -67,6 +69,36 @@ def test_random_spd_field_plans_audits_and_keeps_the_maximum_principle(abc, g, n
     low, high = boundary_extrema(problem, case.grid)
     # the maximum principle up to the rounding of the direct solve
     assert low - 1e-10 <= case.solution.min() and case.solution.max() <= high + 1e-10
+
+
+@st.composite
+def rotated_tensor(draw):
+    """Grammar text (a, b, c) of diag(k, 1), 1 <= k <= 20, rotated by the
+    smooth angle theta0 + p for a small trigonometric sum p, as exam4 is by
+    pi*sin(x)*cos(y): determinant k everywhere, planned half-widths up to
+    about 10."""
+    k = draw(st.floats(1.0, 20.0))
+    theta = f"({draw(st.floats(0.0, math.pi))!r} + {draw(trig_sum(terms=1, scale=0.3))})"
+    return (f"{k!r}*cos({theta})**2 + sin({theta})**2", f"{k - 1.0!r}*sin({theta})*cos({theta})",
+            f"{k!r}*sin({theta})**2 + cos({theta})**2")
+
+
+@given(abc=st.one_of(rotated_tensor(), spd_tensor(scale=0.5, t_max=0.99)))
+@settings(max_examples=25, deadline=None)
+def test_mesh_condition_plans_every_node_on_its_ball(abc):
+    # The paper's sufficient condition: where every stencil fits inside its
+    # planning ball, sqrt(2)*h*max_m <= radius, and the ball is no smaller
+    # than the probe step, the ball intervals alone plan each node into an
+    # M-matrix, with no node falling back to its midpoints.  The drawn radii
+    # straddle sqrt(2)*h*max_m at these N, so the condition is met with
+    # little slack in some examples and missed in others.
+    problem = problem_from_expressions("smooth", abc, f="0", g="0")
+    table = prepare(problem, probe_step=0.01).table
+    for n in (21, 61, 121):
+        plan = plan_grid(build_grid(n), table)
+        if check_mesh_condition(plan).passed and table.constants.radius >= table.step:
+            assert (plan.fallback_nodes, plan.empty_balls) == (0, 0), (n, table.constants)
+            assert audit_m_matrix(assemble(problem, plan)).passed, n
 
 
 @st.composite

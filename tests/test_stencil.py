@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from monofd.errors import PlanningError
 from monofd.field import SplittingConstants, field_from_expressions
 from monofd.grid import build_grid
-from monofd import stencil
 from monofd.splitting import SLOPE_REDUCTIONS, AngleIntervals, slope_bounds, slope_ratios
 from monofd.stencil import (
     MAX_HALF_WIDTH,
@@ -105,6 +104,11 @@ class TestSelectStencil:
     def test_failure_raises(self):
         with pytest.raises(PlanningError):
             select_stencil(intervals(a=0.50, b=0.5001), m_cap=4)
+
+    @pytest.mark.parametrize("fixed_m, tried", [(None, "half-width <= 4 "), (2, "half-width 2 ")])
+    def test_failure_names_the_half_widths_tried(self, fixed_m, tried):
+        with pytest.raises(PlanningError, match=f"^no admissible stencil with {tried}for intervals"):
+            select_stencil(intervals(a=0.50, b=0.5001), m_cap=4, fixed_m=fixed_m)
 
     @given(st.floats(0.05, 3.0), st.floats(0.05, 0.45), st.data())
     @settings(max_examples=200, deadline=None)
@@ -221,12 +225,21 @@ class TestPlanGrid:
                                             np.stack([y, y, y, y - half, y + half]))
         g, f = slope_ratios(a, b, c)
         want = slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
-        got = stencil._SpecialPoints(table.field, grid).bounds(idx)
         axis = np.arange(1, n) / n
         ball = table.ball_bounds(axis, axis, table.constants.radius)[0]
-        for (ufunc, _), got_k, want_k, ball_k, planned_k in zip(SLOPE_REDUCTIONS, got, want, ball, planned):
-            assert np.array_equal(got_k, want_k)
+        for (ufunc, _), want_k, ball_k, planned_k in zip(SLOPE_REDUCTIONS, want, ball, planned):
             assert np.array_equal(planned_k[idx], ufunc(ball_k[idx], want_k))
+
+    def test_unsafe_replan_names_the_first_fallback_node(self, prep_exam1, request):
+        grid = build_grid(20)
+        _, _, fallback = plan_with_bounds(grid, prep_exam1.table)
+        assert fallback.size == 4
+        node = grid.node_from_linear(int(fallback[0]))
+        request.getfixturevalue("directionless_replan")
+        with pytest.raises(PlanningError) as info:
+            plan_grid(grid, prep_exam1.table)
+        assert str(info.value) == f"no sign-safe direction pair at node (j={node[0]}, k={node[1]})"
+        assert info.value.node == node
 
     def test_exam3_all_diagonal(self, prep_exam3):
         plan = plan_grid(build_grid(51), prep_exam3.table)
