@@ -216,7 +216,7 @@ def audit_m_matrix(system: SparseSystem) -> MatrixAudit:
     zpattern_violations = int((off_vals > 1e-12).sum()) + int((diag <= 0.0).sum())
     dominance_violations = int((slack < -1e-9 * scale).sum())
     # The stored entries, zeros included, are the graph's edges; the diagonal adds only loops.
-    n_components = int(connected_components(matrix, directed=False)[0]) if system.dimension > 1 else 1
+    n_components = int(connected_components(matrix, directed=False)[0])
     connected = n_components == 1
     passed = zpattern_violations == 0 and dominance_violations == 0 and nonfinite_values == 0 and connected
     return MatrixAudit(

@@ -51,7 +51,7 @@ from .verification import (
     Prepared,
     checked_audit,
     convergence_study,
-    dmp_row,
+    dmp_table,
     prepare,
     run_case,
     sign_pattern_summary,
@@ -308,12 +308,10 @@ def cmd_solve(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
 
 
 def cmd_dmp(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
-    rows = []
-    for n in cfg.n:
-        row = dmp_row(prepared, n, functools.partial(_run_one, cfg, rep, prepared))
-        rows.append(row)
+    rows = dmp_table(prepared, cfg.n, functools.partial(_run_one, cfg, rep))
+    for row in rows:
         rep.emit(
-            f"N={n}: boundary [{row.boundary_min:.6e}, {row.boundary_max:.6e}] "
+            f"N={row.n}: boundary [{row.boundary_min:.6e}, {row.boundary_max:.6e}] "
             f"interior [{row.interior_min:.6e}, {row.interior_max:.6e}] "
             f"dmp={'holds' if row.dmp_holds else 'VIOLATED'}"
         )
@@ -324,13 +322,7 @@ def cmd_dmp(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
 
 
 def cmd_converge(cfg: RunConfig, rep: Reporter, prepared: Prepared) -> int:
-    rows, slope = convergence_study(
-        prepared,
-        cfg.n,
-        tol=cfg.tol,
-        fixed_m=cfg.fixed_m,
-        require_audit=not cfg.force,
-    )
+    rows, slope = convergence_study(prepared, cfg.n, functools.partial(_run_one, cfg, rep))
     for r in rows:
         order = "" if r.observed_order is None else f" order={r.observed_order:.3f}"
         rep.emit(f"N={r.n}: h={r.h:.6g} max_error={r.max_error:.6e}{order}")

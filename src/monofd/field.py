@@ -234,8 +234,6 @@ def _axis_lipschitz(values: np.ndarray, step: float) -> float:
     the estimate errs on the conservative (smaller radius) side.
     """
     def largest_step(axis):
-        if values.shape[axis] < 2:
-            return 0.0
         # max |diff| without an array of absolute values
         d = np.diff(values, axis=axis)
         return max(abs(d.max()), abs(d.min()))

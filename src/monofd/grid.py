@@ -30,11 +30,8 @@ class Grid:
     def interior_count(self) -> int:
         return (self.n - 1) ** 2
 
-    def is_interior(self, j: int, k: int) -> bool:
-        return 1 <= j <= self.n - 1 and 1 <= k <= self.n - 1
-
     def linear_index(self, j: int, k: int) -> int:
-        if not self.is_interior(j, k):
+        if not (1 <= j <= self.n - 1 and 1 <= k <= self.n - 1):
             raise GridError(f"({j}, {k}) is not interior; boundary nodes carry no unknown")
         return (k - 1) * (self.n - 1) + (j - 1)
 

@@ -118,12 +118,6 @@ def _reach2_grid(matrix: sp.csr_matrix) -> tuple[int, np.ndarray, np.ndarray] | 
     indices, indptr = matrix.indices, matrix.indptr
     lengths = np.diff(indptr)
     rows = np.arange(n, dtype=indices.dtype)
-    # A stored column more than 2 side + 2 from its row is out of reach.  The
-    # first and last of each row (when every row stores one), its extremes in
-    # a canonical matrix, refuse most wider systems in one pass over the rows.
-    if lengths.all() and max((rows - indices[indptr[:-1]]).max(initial=0),
-                             (indices[indptr[1:] - 1] - rows).max(initial=0)) > 2 * side + 2:
-        return None
     dk = indices // side
     dj = indices - dk * side
     dk -= np.repeat(rows // side, lengths)

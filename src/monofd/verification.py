@@ -1,8 +1,11 @@
 """Verification studies: extrema tables, sign-pattern audits, convergence order.
 
 A ``Prepared`` bundle caches the probe table, constants included, so a study
-over several grid sizes samples the coefficient field only once.  Individual
-cases run plan -> assemble -> audit -> solve and propagate failures per case.
+over several grid sizes samples the coefficient field only once.  A case
+runs plan -> assemble -> audit -> solve (``run_case``) and propagates its
+failures.  Both studies, ``dmp_table`` and ``convergence_study``, run their
+cases through one runner ``run(prepared, n)``: ``run_case`` unless the caller
+passes its own, as the CLI does to report each case.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "prepare",
     "run_case",
     "checked_audit",
-    "dmp_row",
     "dmp_table",
     "convergence_study",
     "sign_pattern_summary",
@@ -154,28 +156,21 @@ def _check_zero_source(problem: Problem, grid: Grid) -> None:
         )
 
 
-def dmp_row(prepared: Prepared, n: int, solve_case) -> DmpRow:
-    """Extrema row for one grid size of a zero-source problem.
+def dmp_table(prepared: Prepared, n_list, run=None) -> list[DmpRow]:
+    """Boundary-vs-interior extrema rows for a zero-source problem.
 
-    ``solve_case(n)`` runs the case and returns its CaseResult; it is called
-    only after the source has been checked to vanish on the grid.
+    ``run(prepared, n)`` runs each case, after the source has been checked
+    to vanish on its grid.  The default is the module's ``run_case`` as bound
+    at the call, not at import, so a wrapper rebound over it sees the cases.
     """
-    grid = build_grid(n)
-    _check_zero_source(prepared.problem, grid)
-    case = solve_case(n)
-    bmin, bmax = boundary_extrema(prepared.problem, grid)
-    return DmpRow(
-        n=n,
-        boundary_min=bmin,
-        interior_min=float(case.solution.min()),
-        boundary_max=bmax,
-        interior_max=float(case.solution.max()),
-    )
-
-
-def dmp_table(prepared: Prepared, n_list, **case_kwargs) -> list[DmpRow]:
-    """Boundary-vs-interior extrema rows for a zero-source problem."""
-    return [dmp_row(prepared, n, lambda n: run_case(prepared, n, **case_kwargs)) for n in n_list]
+    rows = []
+    for n in n_list:
+        grid = build_grid(n)
+        _check_zero_source(prepared.problem, grid)
+        solution = (run or run_case)(prepared, n).solution
+        bmin, bmax = boundary_extrema(prepared.problem, grid)
+        rows.append(DmpRow(n, bmin, float(solution.min()), bmax, float(solution.max())))
+    return rows
 
 
 def _check_boundary_data(problem: Problem, grid: Grid) -> None:
@@ -184,13 +179,14 @@ def _check_boundary_data(problem: Problem, grid: Grid) -> None:
             raise ConfigError("Dirichlet data disagrees with the exact solution on the boundary")
 
 
-def convergence_study(prepared: Prepared, n_list, **case_kwargs):
+def convergence_study(prepared: Prepared, n_list, run=None):
     """Interior max-norm errors against the exact solution, plus a fitted slope.
 
-    The per-row observed order is the error-log ratio normalized by the step
-    ratio, None when either error is 0; the returned slope is a least-squares
-    fit of log(error) against log(h) over the rows with a positive error
-    (nan if fewer than two), which tolerates a pre-asymptotic first row.
+    ``run(prepared, n)`` runs each case, as in ``dmp_table``.  The per-row
+    observed order is the error-log ratio normalized by the step ratio, None
+    when either error is 0; the returned slope is a least-squares fit of
+    log(error) against log(h) over the rows with a positive error (nan if
+    fewer than two), which tolerates a pre-asymptotic first row.
     """
     problem = prepared.problem
     if problem.exact_u is None:
@@ -202,7 +198,7 @@ def convergence_study(prepared: Prepared, n_list, **case_kwargs):
     for n in n_list:
         grid = build_grid(n)
         _check_boundary_data(problem, grid)
-        case = run_case(prepared, n, **case_kwargs)
+        case = (run or run_case)(prepared, n)
         X, Y = grid.interior_coords()
         err = float(np.abs(case.solution - problem.exact_u(X, Y)).max())
         order = None

@@ -288,8 +288,14 @@ class TestStudyCommands:
         out = tmp_path / "o"
         code = run_cli("converge", "exam3", "--n", "9,17", "--probe-step", "0.005", "--out", str(out))
         assert code == EXIT_OK
-        assert "fitted slope" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "fitted slope" in stdout
         assert (out / "convergence.csv").exists()
+        # Each case reports its audit and its solve, on stdout and in the manifest.
+        manifest = (out / "manifest.txt").read_text()
+        for text in (stdout, manifest):
+            for n in (9, 17):
+                assert f"N={n}: audit: " in text and f"N={n}: solve: " in text
 
     def test_converge_with_zero_error(self, tmp_path, capsys):
         # x is exact on every grid; N=2 has one unknown and no error at all.

@@ -2,7 +2,7 @@
 
 The scalar forms below are the direction table built case by case, the
 ray-box clip of one arm, and the per-node assembly of all four splitting
-terms with ``split_values`` on ``field.tensor`` at each arm midpoint and
+terms with ``split_values`` on the tensor at each arm midpoint and
 ``directional_term_row`` on one node's values.  They are the oracles for
 ``direction_offsets``/``direction_slopes``, ``clip_arms`` and ``assemble``.
 """
@@ -19,8 +19,6 @@ from monofd.assembly import assemble, directional_term_row
 from monofd.grid import build_grid
 from monofd.splitting import split_values
 from monofd.stencil import ArmEndpoint, clip_arm, clip_arms, direction_offsets, direction_slopes, plan_grid
-
-from conftest import tensor_at
 
 
 def table_reference(m):
@@ -62,49 +60,61 @@ def clip_reference(grid, node, offset):
     return ArmEndpoint("boundary", (cj / n, ck / n), t * full, None, True)
 
 
+def term_gamma(term, a, b, c, tan1, tan2):
+    """Coefficient of the splitting term ``term`` (x, y, plus or minus) at one
+    point: its entry of ``split_values``; the b>0 and b<0 terms take only
+    their own part of b."""
+    if term == "plus":
+        return split_values(a, max(b, 0.0), c, tan1, None)[1]
+    if term == "minus":
+        return split_values(a, min(b, 0.0), c, None, tan2)[2]
+    return split_values(a, b, c, tan1, tan2)[0 if term == "x" else 3]
+
+
 def assemble_reference(problem, grid, plan):
     """``assemble`` node by node: the source, then the x, y, b>0 and b<0 terms.
 
-    Each term's coefficient at an arm midpoint is its entry of
-    ``split_values``; the b>0 and b<0 terms take only their own part of b.
+    A first pass clips each node's arms; the source at the nodes, the tensor
+    at the arm midpoints and ``g`` at the ends off the unknowns are then
+    evaluated in one call each, and a second pass builds each node's row
+    from those values one point at a time.
     """
     n = grid.n
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(grid.interior_count)
+    nodes = []  # per row: node, tan1, tan2, [(term, ends)]
     for row in range(grid.interior_count):
         node = grid.node_from_linear(row)
-        x0, y0 = node[0] / n, node[1] / n
-        rhs[row] = float(problem.f(x0, y0))
-        m = int(plan.m[row])
-        _, offsets = table_reference(m)
+        _, offsets = table_reference(int(plan.m[row]))
         i1, i2 = int(plan.i1[row]), int(plan.i2[row])
         tan1, tan2 = ((offsets[i][1] / offsets[i][0]) if i else None for i in (i1, i2))
+        terms = [("x", (1, 0)), ("y", (0, 1))]
+        terms += [(term, offsets[i]) for i, term in ((i1, "plus"), (i2, "minus")) if i]
+        arms = [(term, [clip_reference(grid, node, off) for off in ((dx, dy), (-dx, -dy))])
+                for term, (dx, dy) in terms]
+        nodes.append((node, tan1, tan2, arms))
 
-        def gamma_x(a, b, c):
-            return split_values(a, b, c, tan1, tan2)[0]
+    def on_unknown(end):
+        return end.kind == "node" and not end.on_boundary
 
-        def gamma_y(a, b, c):
-            return split_values(a, b, c, tan1, tan2)[3]
+    all_ends = [(node, end) for node, _, _, arms in nodes for _, ends in arms for end in ends]
+    mid = np.array([((node[0] / n + end.point[0]) / 2.0, (node[1] / n + end.point[1]) / 2.0)
+                    for node, end in all_ends])
+    tensor = iter(zip(*(v.tolist() for v in problem.field.tensor_arrays(mid[:, 0], mid[:, 1]))))
+    outside = np.array([end.point for _, end in all_ends if not on_unknown(end)])
+    g = iter(problem.g(outside[:, 0], outside[:, 1]).tolist())
+    j, k = np.array([node for node, _, _, _ in nodes]).T
+    rhs = np.array(problem.f(j / n, k / n), dtype=float)
 
-        def gamma_plus(a, b, c):
-            return split_values(a, max(b, 0.0), c, tan1, None)[1]
-
-        def gamma_minus(a, b, c):
-            return split_values(a, min(b, 0.0), c, None, tan2)[2]
-
-        terms = [((1, 0), gamma_x), ((0, 1), gamma_y)]
-        terms += [(offsets[i], gamma) for i, gamma in ((i1, gamma_plus), (i2, gamma_minus)) if i]
-        for (dx, dy), gamma in terms:
-            ends = [clip_reference(grid, node, off) for off in ((dx, dy), (-dx, -dy))]
-            gammas = [gamma(*tensor_at(problem.field, (x0 + end.point[0]) / 2.0, (y0 + end.point[1]) / 2.0))
-                      for end in ends]
+    rows, cols, vals = [], [], []
+    for row, (node, tan1, tan2, arms) in enumerate(nodes):
+        for term, ends in arms:
+            gammas = [term_gamma(term, *next(tensor), tan1, tan2) for _ in ends]
             w_lo, w_center, w_hi = directional_term_row(*gammas, ends[0].distance, ends[1].distance)
             rows.append(row), cols.append(row), vals.append(w_center)
             for end, w in zip(ends, (w_hi, w_lo)):
-                if end.kind == "node" and not end.on_boundary:
+                if on_unknown(end):
                     rows.append(row), cols.append(grid.linear_index(*end.node)), vals.append(w)
                 else:
-                    rhs[row] -= w * float(problem.g(*end.point))
+                    rhs[row] -= w * next(g)
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(grid.interior_count,) * 2).tocsr()
     matrix.sum_duplicates()
     matrix.sort_indices()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from monofd import verification
 from monofd.assembly import Problem, assemble
 from monofd.errors import ConfigError
 from monofd.expressions import NonDifferentiableError, parse_expression
@@ -128,6 +129,36 @@ class TestConvergence:
         )
         with pytest.raises(ConfigError):
             convergence_study(prepare(bad, 1e-2), [4, 8])
+
+
+class TestCaseRunner:
+    """Both studies run each case through one runner: ``run_case`` as the
+    module binds it at the call, or the one passed in."""
+
+    def test_default_runner_is_looked_up_at_each_call(self, monkeypatch, prep_exam1, prep_exam2):
+        calls = []
+
+        def counting(prepared, n):
+            calls.append(n)
+            return run_case(prepared, n)
+
+        monkeypatch.setattr(verification, "run_case", counting)
+        dmp_table(prep_exam1, [5, 9])
+        assert calls == [5, 9]
+        convergence_study(prep_exam2, [5, 9, 13])
+        assert calls == [5, 9, 5, 9, 13]
+
+    def test_runner_passed_in_is_the_one_used(self, monkeypatch, prep_exam1, prep_exam2):
+        calls = []
+
+        def run(prepared, n):
+            calls.append((prepared.problem.name, n))
+            return run_case(prepared, n)
+
+        monkeypatch.setattr(verification, "run_case", None)  # a fall-back to the default fails
+        dmp_table(prep_exam1, [5], run)
+        convergence_study(prep_exam2, [5, 9], run)
+        assert calls == [("exam1", 5), ("exam2", 5), ("exam2", 9)]
 
 
 class TestSignPattern:
