@@ -12,6 +12,12 @@ lattice sampling we estimate:
 * ``radius``:    alpha_bar / (3*alpha*maxL), the uniform neighborhood size on
                  which admissible direction intervals are guaranteed nonempty.
 
+The probe table splits its samples by sign once: a sample is in the plus
+part where b/a > 0 and in the minus part where b/a < 0.  Since a > 0 that is
+the sign of b, except where b != 0 and b/a underflows to +-0; such a sample
+counts as b = 0 in the table's constants and ball bounds.  The planner's
+exact check at its nodes' centers and edge midpoints still reads b itself.
+
 Suprema and infima are lattice estimates, not certificates; the planner adds
 its own safety margin on top (see stencil.plan_grid and DEFAULT_SAFETY).
 """
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, FieldValidationError
 from .expressions import Expression, evaluate, parse_expression
-from .splitting import SLOPE_REDUCTIONS, masked_ratios, slope_ratios
+from .splitting import SLOPE_REDUCTIONS
 
 __all__ = [
     "DiffusionField",
@@ -38,7 +44,7 @@ __all__ = [
 DOMAIN_DIAMETER = math.sqrt(2.0)
 
 # Cap on the running-reduction tables ProbeTable.ball_bounds builds for one
-# sign-masked ratio and one chunk of center rows; 2 MB measured fastest or
+# sign-split ratio and one chunk of center rows; 2 MB measured fastest or
 # even with 4 MB (0.5 MB about 30% slower, 8 MB 4-27% slower).
 _CHUNK_BYTES = 1 << 21
 
@@ -82,13 +88,14 @@ def _lattice(probe_step: float) -> np.ndarray:
 
 
 class ProbeTable:
-    """Dense lattice samples of b and of the planning ratios b/a and c/b,
-    and the field's planning ``constants`` computed from all three entries.
-
-    Axis 0 indexes y, axis 1 indexes x.  The planner reduces the ratios over
-    balls around its nodes, so they are computed once per field.
-    Raises FieldValidationError unless the field is finite and uniformly
-    positive definite on the lattice.
+    """Dense lattice samples of the planning ratios and the field's planning
+    ``constants``: ``ratio_g`` = b/a, and c/b split by the sign of b/a as
+    ``f_plus`` (+inf where b/a <= 0) and ``f_minus`` (-inf where b/a >= 0).
+    ``row_parts[0]``/``[1]`` mark the lattice rows holding a sample with
+    b/a > 0 / b/a < 0.  Axis 0 indexes y, axis 1 indexes x.  The planner
+    reduces the ratios over balls around its nodes, so they are computed
+    once per field.  Raises FieldValidationError unless the field is finite
+    and uniformly positive definite on the lattice.
     """
 
     def __init__(self, field: DiffusionField, probe_step: float = 1e-3):
@@ -96,17 +103,27 @@ class ProbeTable:
         xs = _lattice(probe_step)
         self.xs = xs
         self.step = xs[1] - xs[0]
-        a, self.b, c = field.tensor_arrays(xs[None, :], xs[:, None])
-        self.ratio_g, self.ratio_f = slope_ratios(a, self.b, c)
-        # Planning reads only b and the ratios; a and c go with this frame.
-        self.constants = compute_constants(self, a, c)
+        # Allocated in this order, a table mostly reuses the heap pages of the
+        # one before it (measured by page faults over repeated prepares).
+        self.f_minus = f_minus = np.empty((xs.size, xs.size))
+        a, b, c = field.tensor_arrays(xs[None, :], xs[:, None])
+        with np.errstate(all="ignore"):  # c/b is +-inf where b = 0; the check reports the rest
+            self.ratio_g, self.f_plus = g, f_plus = b / a, c / b
+        alpha_bar, alpha = _definite_bounds(self, a, b, c)
+        del a, b, c  # before the masks and the constants' temporaries, to lower the peak
+        plus, minus = g > 0.0, g < 0.0
+        np.copyto(f_minus, -np.inf)
+        np.copyto(f_minus, f_plus, where=minus)
+        np.copyto(f_plus, np.inf, where=~plus)
+        self.row_parts = np.stack([plus.any(axis=1), minus.any(axis=1)])
+        self.constants = compute_constants(self, alpha_bar, alpha)
 
     def window_intervals(self, x0: float, y0: float, radius: float):
         """Raw (A, B, C, D) over lattice points strictly inside the ball.
 
-        Returns (sup b/a on b>0, inf c/b on b>0, sup c/b on b<0, inf b/a on
-        b<0) with -inf/+inf standing in for empty parts.  One-node form of
-        ``ball_bounds``.
+        Returns (sup b/a on b/a>0, inf c/b on b/a>0, sup c/b on b/a<0, inf
+        b/a on b/a<0) with -inf/+inf standing in for empty parts.  One-node
+        form of ``ball_bounds``.
         """
         bounds, _ = self.ball_bounds(np.array([x0], dtype=float), np.array([y0], dtype=float), radius)
         return tuple(float(v[0]) for v in bounds)
@@ -116,16 +133,19 @@ class ProbeTable:
 
         Centers run in row-major order, v outer, as a grid's linear order.
         Returns the four bound arrays and a boolean array marking the balls
-        that hold no probe sample.  A lattice sample is in a ball when
-        dx2 + dy2 < radius**2, over the squared offsets of
+        that hold no probe sample.  A is sup b/a over the ball, -inf where
+        that is <= 0, D is inf b/a, +inf where that is >= 0, and B and C
+        reduce the table's ``f_plus`` and ``f_minus``.  A lattice sample is
+        in a ball when dx2 + dy2 < radius**2, over the squared offsets of
         ``_squared_offsets``.  Each row of centers has one arm: its window
         rows in increasing dy2.  The float sum is monotone in dy2, so in
         each lattice column a ball holds a prefix of its arm; rows of equal
         dy2 are in or out together, so their order does not matter.  Its
         length comes from a search over the sorted distinct dx2, and each
-        column's bound from one lookup in running reductions of the
-        sign-masked ratios along the arm.  The tables cover a chunk of center rows at a time, at most
-        ``_CHUNK_BYTES`` per ratio; no per-node mask is built.
+        column's bound from one lookup in running reductions of the ratios
+        along the arm.  The tables cover a chunk of center rows at a time, at
+        most ``_CHUNK_BYTES`` per ratio, and are skipped for a sign part that
+        no arm row of the chunk holds; no per-node mask is built.
         """
         xs, step, last = self.xs, self.step, self.xs.size - 1
 
@@ -144,9 +164,9 @@ class ProbeTable:
         jlo, jhi = jlo[rows], jhi[rows]
         i0, j0 = int(ilo[ilo <= ihi].min()), int(jlo.min())
         box = np.s_[j0 : int(jhi.max()) + 1, i0 : int(ihi.max()) + 1]
-        b = self.b[box]
-        parts = masked_ratios(self.ratio_g[box], self.ratio_f[box], b > 0.0, b < 0.0)
-        height, width = b.shape
+        parts = self.ratio_g[box], self.f_plus[box], self.f_minus[box], self.ratio_g[box]
+        row_parts = self.row_parts[:, box[0]]
+        height, width = parts[0].shape
 
         r2 = radius**2
         # Window samples run along axis 0 from here on, so the reduction over
@@ -173,9 +193,14 @@ class ProbeTable:
             taken = _arm_prefixes(lengths[:, span], rank, values.size)
             empty[block] = (taken == 0).all(axis=0).T
             lookup = ((taken * block.size + np.arange(block.size)) * width + col).reshape(-1)
-            for out, part, (ufunc, fill) in zip(bounds, parts, SLOPE_REDUCTIONS):
-                found = _running(ufunc, fill, part, arms[:, span]).take(lookup)
-                out[block] = ufunc.reduce(found.reshape(taken.shape), axis=0).T
+            present = row_parts[:, arms[:, span]].any(axis=(1, 2))
+            for out, part, (ufunc, fill), sign in zip(bounds, parts, SLOPE_REDUCTIONS, (0, 0, 1, 1)):
+                if present[sign]:
+                    found = _running(ufunc, fill, part, arms[:, span]).take(lookup)
+                    out[block] = ufunc.reduce(found.reshape(taken.shape), axis=0).T
+        # A sup of b/a that is <= 0, or an inf that is >= 0, met no sample of its part.
+        np.copyto(bounds[0], -np.inf, where=bounds[0] <= 0.0)
+        np.copyto(bounds[3], np.inf, where=bounds[3] >= 0.0)
         return tuple(out.reshape(-1) for out in bounds), empty.reshape(-1)
 
     def _squared_offsets(self, centers, lo, hi):
@@ -241,16 +266,11 @@ def _axis_lipschitz(values: np.ndarray, step: float) -> float:
     return float((largest_step(0) + largest_step(1)) / step)
 
 
-def compute_constants(table: ProbeTable, a: np.ndarray, c: np.ndarray) -> SplittingConstants:
-    """Planning constants of ``table.field`` from its probe-lattice samples
-    ``a``, ``table.b`` and ``c``.
-
-    Raises FieldValidationError, naming the probe with the smallest
-    determinant, unless every sample is finite with a, c and a*c - b^2
-    positive.  A constant field has zero Lipschitz estimates; its radius is
-    the domain diameter.
-    """
-    b = table.b
+def _definite_bounds(table: ProbeTable, a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """``alpha_bar`` and ``alpha`` of ``table.field`` from its probe-lattice
+    samples ``a``, ``b`` and ``c``.  Raises FieldValidationError, naming the
+    probe with the smallest determinant, unless every sample is finite with
+    a, c and a*c - b^2 positive."""
     with np.errstate(invalid="ignore", over="ignore"):
         det = a * c - b**2
     # A NaN or infinite a, b or c makes det non-finite as well.
@@ -260,17 +280,25 @@ def compute_constants(table: ProbeTable, a: np.ndarray, c: np.ndarray) -> Splitt
         point = (float(table.xs[worst[1]]), float(table.xs[worst[0]]))
         raise FieldValidationError(
             f"field {table.field.name!r} is not finite and uniformly positive definite near {point}")
-    alpha_bar = float(det.min())
     weight = np.abs(b) + 1.0
-    alpha = float(max((a * weight).max(), (c * weight).max()))
-    cap_m = float(np.abs(table.ratio_g).max() + alpha_bar / alpha)
+    return float(det.min()), float(max((a * weight).max(), (c * weight).max()))
 
-    f = table.ratio_f
-    f_plus = np.where((b > 0.0) & (f < cap_m), f, cap_m)
-    f_minus = np.where((b < 0.0) & (f > -cap_m), f, -cap_m)
-    lip_fplus = _axis_lipschitz(f_plus, table.step)
-    lip_fminus = _axis_lipschitz(f_minus, table.step)
-    lip_g = _axis_lipschitz(table.ratio_g, table.step)
+
+def compute_constants(table: ProbeTable, alpha_bar: float, alpha: float) -> SplittingConstants:
+    """Planning constants of ``table.field`` from its sign-split ratios and
+    the bounds ``alpha_bar`` and ``alpha`` of its entries.
+
+    The cut-off ratios are c/b capped at ``cap_m`` on the plus part and at
+    -``cap_m`` on the minus part, the cap standing in off the part.  A
+    constant field has zero Lipschitz estimates; its radius is the domain
+    diameter.
+    """
+    g = table.ratio_g
+    cap_m = float(max(g.max(), -g.min()) + alpha_bar / alpha)
+    capped = np.minimum(table.f_plus, cap_m)
+    lip_fplus = _axis_lipschitz(capped, table.step)
+    lip_fminus = _axis_lipschitz(np.maximum(table.f_minus, -cap_m, out=capped), table.step)
+    lip_g = _axis_lipschitz(g, table.step)
     max_lip = max(lip_fplus, lip_fminus, lip_g)
     if max_lip == 0.0:
         radius = DOMAIN_DIAMETER

@@ -23,7 +23,6 @@ __all__ = [
     "AngleIntervals",
     "slope_bounds",
     "slope_ratios",
-    "masked_ratios",
     "SLOPE_REDUCTIONS",
     "split_values",
     "axis_gamma",
@@ -67,15 +66,6 @@ def slope_ratios(a, b, c):
         return b / a, np.where(b != 0.0, c / b, np.nan)
 
 
-def masked_ratios(g, f, plus, minus):
-    """g and f with the samples outside each bound's sign part set to its
-    empty-part value: (g on plus, f on plus, f on minus, g on minus)."""
-    return tuple(
-        np.where(part, ratio, fill)
-        for (_, fill), part, ratio in zip(SLOPE_REDUCTIONS, (plus, plus, minus, minus), (g, f, f, g))
-    )
-
-
 def slope_bounds(g, f, plus, minus, axis=None):
     """The four slope bounds over sampled ratios g = b/a and f = c/b.
 
@@ -84,8 +74,8 @@ def slope_bounds(g, f, plus, minus, axis=None):
     ``plus``/``minus`` mark the samples with b > 0 and b < 0.
     """
     return tuple(
-        ufunc.reduce(values, axis)
-        for (ufunc, _), values in zip(SLOPE_REDUCTIONS, masked_ratios(g, f, plus, minus))
+        ufunc.reduce(np.where(part, ratio, fill), axis)
+        for (ufunc, fill), part, ratio in zip(SLOPE_REDUCTIONS, (plus, plus, minus, minus), (g, f, f, g))
     )
 
 

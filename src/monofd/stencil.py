@@ -151,33 +151,35 @@ def _select(bounds, m_cap: int, safety: float, fixed_m: int | None):
 
     Returns int32 arrays m, i1, i2, with m = 0 where no half-width up to the
     cap fits and index 0 where a sign part is empty.  Each pass over m
-    handles only the nodes still open.
+    handles only the nodes still open, and each sign part only at the open
+    nodes whose part is nonempty.
     """
     a_sup, b_inf, c_sup, d_inf = bounds
     n = a_sup.size
     m_out, i1, i2 = (np.zeros(n, dtype=np.int32) for _ in range(3))
-    need_plus, need_minus = a_sup != -np.inf, d_inf != np.inf
+    need = a_sup != -np.inf, d_inf != np.inf
     m_values = [fixed_m] if fixed_m is not None else range(1, m_cap + 1)
     todo = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for margin in (safety, 0.0) if safety > 0.0 else (0.0,):
-            plus_lo, plus_hi = _shrunk(a_sup[todo], b_inf[todo], margin)
-            lo, hi = _shrunk(c_sup[todo], d_inf[todo], margin)
-            mirror_lo, mirror_hi = -hi, -lo  # the b<0 part on positive slopes
+            has = [part[todo] for part in need]
+            plus_lo, plus_hi = _shrunk(a_sup[todo[has[0]]], b_inf[todo[has[0]]], margin)
+            lo, hi = _shrunk(c_sup[todo[has[1]]], d_inf[todo[has[1]]], margin)
+            spans = [(plus_lo, plus_hi), (-hi, -lo)]  # the b<0 part on positive slopes
             for m in m_values:
                 if todo.size == 0:
                     break
-                p_i = _direction(m, plus_lo, plus_hi)
-                n_i = -_direction(m, mirror_lo, mirror_hi)
-                has_plus, has_minus = need_plus[todo], need_minus[todo]
-                done = ((p_i != 0) | ~has_plus) & ((n_i != 0) | ~has_minus)
+                picks = [np.zeros(todo.size, dtype=np.int64) for _ in has]
+                for sign, idx, on, (lo, hi) in zip((1, -1), picks, has, spans):
+                    idx[on] = sign * _direction(m, lo, hi)
+                done = ((picks[0] != 0) | ~has[0]) & ((picks[1] != 0) | ~has[1])
                 m_out[todo[done]] = m
-                for ok, out, idx in ((done & has_plus, i1, p_i), (done & has_minus, i2, n_i)):
-                    out[todo[ok]] = idx[ok]
+                for out, idx in zip((i1, i2), picks):
+                    out[todo[done]] = idx[done]
                 keep = ~done
                 todo = todo[keep]
-                plus_lo, plus_hi = plus_lo[keep], plus_hi[keep]
-                mirror_lo, mirror_hi = mirror_lo[keep], mirror_hi[keep]
+                spans = [(lo[keep[on]], hi[keep[on]]) for on, (lo, hi) in zip(has, spans)]
+                has = [on[keep] for on in has]
     return m_out, i1, i2
 
 

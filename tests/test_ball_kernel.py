@@ -2,19 +2,23 @@
 
 ``window_gather`` is the former body of ``ProbeTable.ball_bounds``: it takes
 one center per node, gathers a fixed window of each sign-masked ratio around
-it and reduces it under the node's disk mask.  ``ProbeTable.ball_bounds``
-must give the same four bounds and empty-ball flags, bit for bit.
+it and reduces it under the node's disk mask.  It samples the field and
+masks the ratios itself, by the sign of b/a as the table does, so it reads
+none of the table's ratio arrays.  ``ProbeTable.ball_bounds`` must give the
+same four bounds and empty-ball flags, bit for bit.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from monofd import field
 from monofd.field import ProbeTable, field_from_expressions
-from monofd.splitting import SLOPE_REDUCTIONS, masked_ratios
+from monofd.problems import problem_from_expressions
+from monofd.splitting import SLOPE_REDUCTIONS, slope_ratios
+from monofd.verification import prepare, run_case
 from test_batched_planner import PINNED, PREPARED
 from test_properties import spd_tensor
 
@@ -37,8 +41,10 @@ def window_gather(table, x0, y0, radius):
     i0, i1 = int(ilo[live].min()), int(ihi[live].max())
     j0, j1 = int(jlo[live].min()), int(jhi[live].max())
     box = np.s_[j0 : j1 + 1, i0 : i1 + 1]
-    b = table.b[box]
-    parts = masked_ratios(table.ratio_g[box], table.ratio_f[box], b > 0.0, b < 0.0)
+    g, f = slope_ratios(*table.field.tensor_arrays(xs[None, i0 : i1 + 1], xs[j0 : j1 + 1, None]))
+    plus, minus = g > 0.0, g < 0.0
+    parts = [np.where(part, ratio, fill) for (_, fill), part, ratio
+             in zip(SLOPE_REDUCTIONS, (plus, plus, minus, minus), (g, f, f, g))]
     wx = int((ihi - ilo)[live].max()) + 1
     wy = int((jhi - jlo)[live].max()) + 1
     views = [sliding_window_view(part, (wy, wx)) for part in parts]
@@ -134,11 +140,48 @@ center = st.one_of(st.floats(0.0, 1.0), st.integers(0, 200).map(lambda i: i / 20
 centers = st.lists(center, min_size=1, max_size=60).map(sorted).map(np.array)
 
 
-@given(abc=spd_tensor(), xc=centers, yc=centers, probe_step=st.floats(0.01, 0.25), data=st.data())
+# b/a of the constant field a = 2, b = 5e-324 underflows to 0: the table
+# counts every sample as b = 0, and so must the oracle.
+@example(abc=("2", "5e-324", "1"), xc=np.array([0.5]), yc=np.array([0.25, 0.5]), probe_step=0.1,
+         reach=1.0)
+@given(abc=spd_tensor(), xc=centers, yc=centers, probe_step=st.floats(0.01, 0.25), reach=st.floats(0.0, 1.0))
 @settings(max_examples=60, deadline=None)
-def test_kernel_matches_gather_on_random_tensor_grids(abc, xc, yc, probe_step, data):
+def test_kernel_matches_gather_on_random_tensor_grids(abc, xc, yc, probe_step, reach):
     table = ProbeTable(field_from_expressions("random", *abc), probe_step)
     # Radii from a quarter of the pitch, where most balls hold no sample, up
     # to 0.06, or to the pitch on the coarsest lattices.
-    radius = data.draw(st.floats(table.step / 4, max(0.06, table.step)), label="radius")
-    assert_kernel_matches_gather(table, xc, yc, radius)
+    low, high = table.step / 4, max(0.06, table.step)
+    assert_kernel_matches_gather(table, xc, yc, low + reach * (high - low))
+
+
+@pytest.mark.parametrize("case", ["one-signed", "exam2"])
+def test_kernel_skips_absent_sign_parts(monkeypatch, prep_exam2, case):
+    # One center row per chunk, so each chunk reads a few lattice rows and
+    # skips every sign part they lack: the b = x*y field has no b < 0 part
+    # and no b > 0 part on its row y = 0; exam2's b < 0 rows begin mid-lattice.
+    if case == "one-signed":
+        table = ProbeTable(field_from_expressions("one-signed", "2 + x", "x*y", "2 + y"), 1e-2)
+        axis, radius = grid_axis(41), 0.03
+        assert not table.row_parts[1].any() and not table.row_parts[0, 0]
+    else:
+        table, axis, radius = prep_exam2.table, grid_axis(81), prep_exam2.table.constants.radius
+        assert not table.row_parts[1, : table.xs.size // 2].any() and table.row_parts[1, -1]
+    monkeypatch.setattr(field, "_CHUNK_BYTES", 1)
+    assert_kernel_matches_gather(table, axis, axis, radius)
+
+
+def test_underflowed_b_over_a_counts_as_zero_b_in_the_balls_only():
+    # b > 0 everywhere, but b/a underflows to 0: every ball bound takes its
+    # empty-part value, so no node has a plus direction after the ball
+    # selection and all 49 fall back.  The fallback reads b > 0 at the
+    # centers and midpoints and plans the diagonal, as with the b > 0 mask.
+    problem = problem_from_expressions("underflow", ("2", "5e-324", "1"), f="0", g="x + y")
+    prepared = prepare(problem)
+    axis = grid_axis(8)
+    bounds, empty = prepared.table.ball_bounds(axis, axis, prepared.table.constants.radius)
+    assert [np.unique(v).tolist() for v in bounds] == [[-np.inf], [np.inf], [-np.inf], [np.inf]]
+    assert not empty.any()
+    case = run_case(prepared, 8)
+    assert case.plan.fallback_nodes == 49
+    assert [np.unique(v).tolist() for v in (case.plan.m, case.plan.i1, case.plan.i2)] == [[1], [1], [0]]
+    assert case.audit.passed

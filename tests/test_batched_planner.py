@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from monofd.errors import PlanningError
 from monofd.grid import build_grid
 from monofd.splitting import AngleIntervals
-from monofd.stencil import StencilChoice, _pick_integer, direction_slopes, plan_grid, select_stencil
+from monofd.stencil import StencilChoice, _pick_integer, _select, direction_slopes, plan_grid, select_stencil
 
 from conftest import plan_with_bounds
 
@@ -196,3 +196,17 @@ def test_select_stencil_matches_scalar_rule(plus, minus, m_cap, safety, fixed_m)
             select_stencil(iv, m_cap, safety=safety, fixed_m=fixed_m)
     else:
         assert select_stencil(iv, m_cap, safety=safety, fixed_m=fixed_m) == expected
+
+
+@given(st.lists(st.tuples(sign_part(1), sign_part(-1)), min_size=1, max_size=40), st.integers(1, 30),
+       st.sampled_from([0.0, 0.05, 0.2]), st.none() | st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_select_reads_no_bound_of_an_empty_part(parts, m_cap, safety, fixed_m):
+    # B and C of an empty sign part (A = -inf, D = inf) are never read: the
+    # selection does not change when they are nan.
+    a_sup, b_inf, c_sup, d_inf = (np.array(v) for v in zip(*[(*p, *q) for p, q in parts]))
+    want = _select((a_sup, b_inf, c_sup, d_inf), m_cap, safety, fixed_m)
+    hidden = np.where(a_sup == -np.inf, np.nan, b_inf), np.where(d_inf == np.inf, np.nan, c_sup)
+    got = _select((a_sup, hidden[0], hidden[1], d_inf), m_cap, safety, fixed_m)
+    for w, g in zip(want, got):
+        assert w.tobytes() == g.tobytes()

@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monofd.errors import ConfigError, FieldValidationError
 from monofd.field import ProbeTable, field_from_expressions
 from monofd.problems import built_in_problem
 
 from conftest import identity_field, tensor_at
+from test_properties import spd_tensor
 
 SQRT2 = math.sqrt(2.0)
 
@@ -60,25 +64,62 @@ class TestValidateSpd:
 
 
 class TestRatioFunctions:
-    """The sampled slope ratios F = c/b and G = b/a of the probe table."""
+    """The sampled slope ratios G = b/a and F = c/b of the probe table, F
+    split into f_plus and f_minus by the sign of G."""
 
     def test_zero_b_point(self):
         table = ProbeTable(built_in_problem("exam1").field, 0.25)  # b = 0 on the x-axis
-        assert np.isnan(table.ratio_f[0]).all()
+        assert (table.f_plus[0] == np.inf).all() and (table.f_minus[0] == -np.inf).all()
         assert (table.ratio_g[0] == 0.0).all()
+        assert not table.row_parts[:, 0].any()
 
     def test_positive_b_branch(self):
         table = ProbeTable(constant_field("9", "2", "3"), 0.25)
-        assert table.ratio_f == pytest.approx(np.full((5, 5), 1.5))
+        assert table.f_plus == pytest.approx(np.full((5, 5), 1.5))
+        assert (table.f_minus == -np.inf).all()
         assert table.ratio_g == pytest.approx(np.full((5, 5), 2.0 / 9.0))
 
     def test_negative_b_branch(self):
         table = ProbeTable(constant_field("9", "-2", "3"), 0.25)
-        assert table.ratio_f == pytest.approx(np.full((5, 5), -1.5))
+        assert table.f_minus == pytest.approx(np.full((5, 5), -1.5))
+        assert (table.f_plus == np.inf).all()
         assert table.ratio_g == pytest.approx(np.full((5, 5), -2.0 / 9.0))
 
 
+def constants_oracle(table) -> tuple:
+    """The planning constants by the formulas the table replaced: c/b masked
+    by the sign of b itself, from fresh samples of the field on its lattice."""
+    a, b, c = table.field.tensor_arrays(table.xs[None, :], table.xs[:, None])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g, f = b / a, np.where(b != 0.0, c / b, np.nan)
+    alpha_bar = float((a * c - b**2).min())
+    weight = np.abs(b) + 1.0
+    alpha = float(max((a * weight).max(), (c * weight).max()))
+    cap_m = float(np.abs(g).max() + alpha_bar / alpha)
+    f_plus = np.where((b > 0.0) & (f < cap_m), f, cap_m)
+    f_minus = np.where((b < 0.0) & (f > -cap_m), f, -cap_m)
+    lips = [float(sum(np.abs(np.diff(v, axis=axis)).max() for axis in (0, 1)) / table.step)
+            for v in (f_plus, f_minus, g)]
+    top = max(lips)
+    radius = SQRT2 if top == 0.0 else min(alpha_bar / (3.0 * alpha * top), SQRT2)
+    return (alpha_bar, alpha, cap_m, *lips, radius)
+
+
+def assert_constants_match_oracle(table):
+    got = np.array(dataclasses.astuple(table.constants))
+    assert got.tobytes() == np.array(constants_oracle(table)).tobytes(), table.constants
+
+
 class TestComputeConstants:
+    @pytest.mark.parametrize("prep", ["prep_exam1", "prep_exam2", "prep_exam3", "prep_exam4", "prep_exam4_k100"])
+    def test_constants_match_the_sign_of_b_formulas(self, request, prep):
+        assert_constants_match_oracle(request.getfixturevalue(prep).table)
+
+    @given(abc=spd_tensor(), probe_step=st.sampled_from([0.01, 0.02, 0.05]))
+    @settings(max_examples=30, deadline=None)
+    def test_constants_match_the_sign_of_b_formulas_on_random_fields(self, abc, probe_step):
+        assert_constants_match_oracle(ProbeTable(field_from_expressions("random", *abc), probe_step))
+
     def test_exam1_reference_values(self, prep_exam1):
         constants = prep_exam1.table.constants
         assert constants.alpha_bar == pytest.approx(11.0, abs=1e-12)
