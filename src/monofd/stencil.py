@@ -19,12 +19,17 @@ where assembly evaluates the x- and y-term coefficients (both sides sample
 the field there and apply ``splitting.axis_gamma``); a node that fails is
 replanned over the ball augmented with its center and those midpoints, so
 the assembled sign structure follows from strict interval placement rather
-than from a mesh-size assumption.
+than from a mesh-size assumption.  Each midpoint bounds only the slopes of
+the term assembled there: an x-edge midpoint, where gamma0 = a - b/tan must
+stay nonnegative, only sup b/a and inf b/a (A, D); a y-edge midpoint, where
+gamma2 = c - b*tan must, only inf c/b and sup c/b (B, C).  The ball and the
+center bound all four, and a sign part with B (C) but no A (D) takes A = 0
+(D = 0), so it still gets a direction.
 
 Planning is batched and samples the field once per stage: one
 ``ProbeTable.ball_bounds`` call for every node's ball, one ``evaluate`` call
 per axis for the first sign check, and one at the fallback nodes' centers
-and midpoints, read by both their merged bounds and the replan's check.
+and midpoints, read by both their bounds and the replan's check.
 Selection runs one pass per half-width m over the nodes still unresolved,
 first over all nodes, then over the fallback subset.  ``select_stencil``
 and ``ProbeTable.window_intervals`` are the one-node forms of the kernels.
@@ -362,8 +367,10 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
     half-widths up to ``stencil_upper_bound`` (``fixed_m`` alone when given);
     the chosen angles are checked for sign safety at the 4 axis-edge
     midpoints the assembler will use.  Unsafe nodes are replanned over the
-    midpoint-augmented intervals, which makes safety structural at the cost
-    of a possibly larger m there.  Raises PlanningError naming the first
+    ball intervals augmented with their center (all four bounds) and each
+    midpoint in the bounds of its term (x-edge: A, D; y-edge: B, C), with
+    no margin, which makes safety structural at the cost of a possibly
+    larger m there.  Raises PlanningError naming the first
     fallback node whose intervals admit no direction pair at the half-widths
     tried, or whose replanned pair is still not sign-safe.
     """
@@ -383,12 +390,22 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
     fallback = np.flatnonzero((m == 0) | ~_axis_safe(samples, m, i1, i2))
 
     # One sample of each fallback node's center and midpoints serves both
-    # its merged bounds and the replan's sign check.  The midpoints are exact
-    # members of the merged sample set, so strict placement alone protects
-    # them; no margin here keeps the fallback stencils as small as possible.
+    # its bounds and the replan's sign check.  Each midpoint bounds only the
+    # slopes of the term assembled there: gamma0 = a - b/tan at the x-edge
+    # midpoints needs tan above b/a (A, D), gamma2 = c - b*tan at the y-edge
+    # midpoints tan below c/b (B, C); the center bounds all four.  Strict
+    # placement alone then protects the midpoints; no margin here keeps the
+    # fallback stencils as small as possible.
     a, b, c = field.tensor_arrays(*(np.vstack(rows) for rows in zip(*_axis_points(x, y, half, fallback))))
-    special = slope_bounds(*slope_ratios(a, b, c), b > 0.0, b < 0.0, axis=0)
+    g, f = slope_ratios(a, b, c)
+    x_role, y_role = (slope_bounds(g[r], f[r], b[r] > 0.0, b[r] < 0.0, axis=0) for r in ([0, 1, 2], [0, 3, 4]))
+    special = x_role[0], y_role[1], y_role[2], x_role[3]
     merged = tuple(ufunc(ball[fallback], v) for (ufunc, _), ball, v in zip(SLOPE_REDUCTIONS, bounds, special))
+    # A sign part sampled only at y-edge midpoints has B or C but no A or D,
+    # so it would get no direction; b/a's bound 0 gives it one.
+    a_sup, b_inf, c_sup, d_inf = merged
+    a_sup[(a_sup == -np.inf) & np.isfinite(b_inf)] = 0.0
+    d_inf[(d_inf == np.inf) & np.isfinite(c_sup)] = 0.0
     replan = _select(merged, m_cap, 0.0, fixed_m)
     failed = replan[0] == 0
     unsafe = ~failed & ~_axis_safe(((a[1:3], b[1:3]), (c[3:], b[3:])), *replan)

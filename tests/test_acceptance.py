@@ -130,7 +130,7 @@ def test_criterion_4_convergence_exam4(prep_exam4):
     if not SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]:
         print("criterion 4 [exam4 k=10]: FAIL on the written grid list - the N=21 row "
               "is pre-asymptotic (the tensor rotation is unresolved at h=1/21 and "
-              "several nodes need 9x9..13x13 stencils), so the error decays faster "
+              "several nodes need 9x9 stencils), so the error decays faster "
               "than h^2 into the asymptotic regime and the fitted slope overshoots "
               "the window from above.")
         pytest.xfail(f"pre-asymptotic window: slope {slope:.3f} not in [1.8, 2.2] "
@@ -195,7 +195,7 @@ def test_criterion_6_splitting_identity(prep_exam1, prep_exam3, prep_exam4):
 
 
 def test_criterion_7_anisotropy_scaling(prep_exam4, prep_exam4_k100):
-    n = 201  # coarsest grid on which the k=100 field admits sign-safe plans
+    n = 201  # the k=100 field plans sign-safe from N=101 up; N=41 fails at (4, 1)
     case100 = run_case(prep_exam4_k100, n)
     assert case100.audit.passed
     print(f"criterion 7: k=100 planning succeeds at N={n}; achieved max m = "

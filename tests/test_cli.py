@@ -93,8 +93,8 @@ class TestConfigHandling:
             assert capsys.readouterr().err.count("\n") == 1, text
 
     @pytest.mark.parametrize("argv, code, message", [
-        # the midpoint-augmented plus interval at (3, 1) is inverted
-        (("exam4", "--k", "100", "--n", "41"), EXIT_PLANNING, "planning failed at node (j=3, k=1)"),
+        # the fallback plus interval at (4, 1) is inverted: a_sup 0.3542 > b_inf 0.3509
+        (("exam4", "--k", "100", "--n", "41"), EXIT_PLANNING, "planning failed at node (j=4, k=1)"),
         # LU reaches about 2e-16, never 1e-30
         (("exam3", "--n", "8", "--tol", "1e-30"), EXIT_SOLVER, "solver did not converge at N=8"),
     ])

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monofd.assembly import assemble, audit_m_matrix
 from monofd.errors import PlanningError
-from monofd.field import SplittingConstants, field_from_expressions
+from monofd.field import ProbeTable, SplittingConstants, field_from_expressions
 from monofd.grid import build_grid
+from monofd.problems import problem_from_expressions
 from monofd.splitting import SLOPE_REDUCTIONS, AngleIntervals, slope_bounds, slope_ratios
 from monofd.stencil import (
     MAX_HALF_WIDTH,
+    _axis_points,
+    _axis_safe,
     check_mesh_condition,
     clip_arm,
     direction_offsets,
@@ -213,9 +217,11 @@ class TestPlanGrid:
 
     @pytest.mark.parametrize("prep, n, fallback", [("prep_exam1", 20, 4), ("prep_exam4_k100", 201, 200 * 200)])
     def test_fallback_bounds_are_five_point_bounds(self, prep, n, fallback, request):
-        # Only the fallback nodes' special-point bounds are formed.  They are
-        # the slope bounds over each node's center and 4 axis-edge midpoints,
-        # recounted here as one five-point sample, and merge into the ball's.
+        # Only the fallback nodes' special-point bounds are formed, over each
+        # node's center and 4 axis-edge midpoints, by the role of each point:
+        # the center bounds all four slopes, the x-edge midpoints (gamma0)
+        # only A and D, the y-edge midpoints (gamma2) only B and C.  They
+        # merge into the ball's, and a part with B (C) but no A (D) gets 0.
         table, grid = request.getfixturevalue(prep).table, build_grid(n)
         plan, planned, idx = plan_with_bounds(grid, table)
         assert idx.size == plan.fallback_nodes == fallback
@@ -224,11 +230,45 @@ class TestPlanGrid:
         a, b, c = table.field.tensor_arrays(np.stack([x, x - half, x + half, x, x]),
                                             np.stack([y, y, y, y - half, y + half]))
         g, f = slope_ratios(a, b, c)
-        want = slope_bounds(g, f, b > 0.0, b < 0.0, axis=0)
+        rows = ([0, 1, 2], [0, 3, 4], [0, 3, 4], [0, 1, 2])
+        special = [slope_bounds(g[r], f[r], b[r] > 0.0, b[r] < 0.0, axis=0)[q] for q, r in enumerate(rows)]
         axis = np.arange(1, n) / n
         ball = table.ball_bounds(axis, axis, table.constants.radius)[0]
-        for (ufunc, _), want_k, ball_k, planned_k in zip(SLOPE_REDUCTIONS, want, ball, planned):
-            assert np.array_equal(planned_k[idx], ufunc(ball_k[idx], want_k))
+        want = [ufunc(ball_k[idx], v) for (ufunc, _), ball_k, v in zip(SLOPE_REDUCTIONS, ball, special)]
+        want[0][(want[0] == -np.inf) & np.isfinite(want[1])] = 0.0
+        want[3][(want[3] == np.inf) & np.isfinite(want[2])] = 0.0
+        for want_k, planned_k in zip(want, planned):
+            assert np.array_equal(planned_k[idx], want_k)
+
+    def test_part_sampled_only_at_a_y_edge_midpoint_gets_a_direction(self):
+        # b > 0 only for |y - 0.55| < 0.005, which holds no probe sample
+        # (step 0.04) but the y-edge midpoint above the nodes with y = 0.5
+        # and below those with y = 0.6 at N=10.  Their plus part has B = c/b
+        # and no A, so it is planned on (0, B).
+        b = "0.5*(0.005 - abs(y - 0.55) + abs(0.005 - abs(y - 0.55)))"
+        problem = problem_from_expressions("y-midpoint", ("1", b, "1"), f="0", g="x")
+        table, grid = ProbeTable(problem.field, 0.04), build_grid(10)
+        plan, (a_sup, b_inf, _, _), idx = plan_with_bounds(grid, table)
+        _, K = grid.interior_nodes()
+        assert np.array_equal(np.sort(idx), np.flatnonzero((K == 5) | (K == 6)))
+        assert np.all(a_sup[idx] == 0.0) and np.all(np.isfinite(b_inf[idx]))
+        assert np.all(plan.i1[idx] != 0) and not plan.i2.any()
+        X, Y = grid.interior_coords()
+        _, *edges = _axis_points(X, Y, 0.5 * grid.h, idx)
+        field = problem.field
+        samples = [(d(*points), field.b(*points)) for d, points in zip((field.a, field.c), edges)]
+        assert _axis_safe(samples, plan.m[idx], plan.i1[idx], plan.i2[idx]).all()
+        assert audit_m_matrix(assemble(problem, plan)).passed
+
+    def test_exam4_k100_plans_from_n101(self, prep_exam4_k100):
+        prep = prep_exam4_k100
+        for n in (101, 121):
+            plan = plan_grid(build_grid(n), prep.table)
+            assert audit_m_matrix(assemble(prep.problem, plan)).passed, n
+        # the fallback plus interval at (4, 1) is inverted
+        with pytest.raises(PlanningError) as info:
+            plan_grid(build_grid(41), prep.table)
+        assert info.value.node == (4, 1)
 
     def test_unsafe_replan_names_the_first_fallback_node(self, prep_exam1, request):
         grid = build_grid(20)
