@@ -2,9 +2,10 @@
 """Run the full benchmark battery and drop CSV/plan reports under out/studies.
 
 Covers the extrema table (rows labeled 21/51/101, i.e. N = 20/50/100
-intervals), matrix audits, the four convergence studies, and the k = 100
-anisotropy comparison.  Everything is reproducible from the library API; this
-script just sequences it.
+intervals), matrix audits, the four convergence studies, the k = 100
+anisotropy comparison, and a plan-only sweep of exam4 over k and N that
+sets each max m beside the reference's.  Everything is reproducible from the
+library API; this script just sequences it.
 """
 
 import argparse
@@ -16,8 +17,11 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from monofd.cli import REFERENCE_MAX_M
+from monofd.errors import PlanningError
+from monofd.grid import build_grid
 from monofd.problems import built_in_problem
-from monofd.stencil import stencil_upper_bound
+from monofd.stencil import check_mesh_condition, plan_grid, stencil_upper_bound
 from monofd.verification import (
     convergence_study,
     dmp_table,
@@ -26,6 +30,30 @@ from monofd.verification import (
     write_convergence_csv,
     write_dmp_csv,
 )
+
+
+SWEEP_K = (10, 20, 50, 100)
+SWEEP_N = (21, 41, 51, 101, 121, 161, 201, 241, 401)
+
+
+def k_sweep(probe_step: float, ks=SWEEP_K, ns=SWEEP_N) -> None:
+    """Print one plan-only row per (k, N) of exam4: the half-width bound, the
+    planning radius, max m beside the reference's, the fallback nodes, the
+    empty balls and the mesh-condition verdict, or the node planning failed at."""
+    for k in ks:
+        prep = prepare(built_in_problem("exam4", k=k), probe_step)
+        c = prep.table.constants
+        reference = REFERENCE_MAX_M.get(prep.problem.name, "-")
+        head = f"  k={k:g} bound={stencil_upper_bound(c)} radius={c.radius:.3g}"
+        for n in ns:
+            try:
+                plan = plan_grid(build_grid(n), prep.table)
+            except PlanningError as exc:
+                print(f"{head} N={n}: planning fails at node {exc.node}")
+                continue
+            mesh = "pass" if check_mesh_condition(plan).passed else "FAIL"
+            print(f"{head} N={n}: max m {plan.max_m} (reference {reference}) "
+                  f"fallback {plan.fallback_nodes} empty balls {plan.empty_balls} mesh {mesh}")
 
 
 def main() -> int:
@@ -73,6 +101,8 @@ def main() -> int:
     e100 = float(np.abs(case100.solution - prep100.problem.exact_u(X, Y)).max())
     print(f"exam4 anisotropy at N={n}: err(k=10)={e10:.3e} err(k=100)={e100:.3e} "
           f"ratio={e100 / e10:.0f}; k=100 max stencil half-width {case100.plan.max_m}")
+    print("exam4 plans over k and N:")
+    k_sweep(args.probe_step)
     print(f"total {time.time() - t0:.1f}s; reports in {out}")
     return 0
 
