@@ -390,19 +390,19 @@ def plan_grid(grid: Grid, table: ProbeTable, fixed_m: int | None = None) -> Grid
     fallback = np.flatnonzero((m == 0) | ~_axis_safe(samples, m, i1, i2))
 
     # One sample of each fallback node's center and midpoints serves both
-    # its bounds and the replan's sign check.  Each midpoint bounds only the
-    # slopes of the term assembled there: gamma0 = a - b/tan at the x-edge
-    # midpoints needs tan above b/a (A, D), gamma2 = c - b*tan at the y-edge
-    # midpoints tan below c/b (B, C); the center bounds all four.  Strict
-    # placement alone then protects the midpoints; no margin here keeps the
-    # fallback stencils as small as possible.
+    # its bounds and the replan's sign check.  Each point bounds the slopes
+    # of the terms assembled there (module docstring): the center (row 0)
+    # all four, the x-edge midpoints (rows 1-2) A and D, the y-edge midpoints
+    # (rows 3-4) B and C.  Strict placement alone then protects the
+    # midpoints; no margin here keeps the fallback stencils as small as possible.
     a, b, c = field.tensor_arrays(*(np.vstack(rows) for rows in zip(*_axis_points(x, y, half, fallback))))
     g, f = slope_ratios(a, b, c)
     x_role, y_role = (slope_bounds(g[r], f[r], b[r] > 0.0, b[r] < 0.0, axis=0) for r in ([0, 1, 2], [0, 3, 4]))
     special = x_role[0], y_role[1], y_role[2], x_role[3]
     merged = tuple(ufunc(ball[fallback], v) for (ufunc, _), ball, v in zip(SLOPE_REDUCTIONS, bounds, special))
-    # A sign part sampled only at y-edge midpoints has B or C but no A or D,
-    # so it would get no direction; b/a's bound 0 gives it one.
+    # A sign part sampled only at y-edge midpoints has B (C) but no A (D) and
+    # would get no direction; A = 0 (D = 0), which b/a of that sign never
+    # crosses, gives it one.
     a_sup, b_inf, c_sup, d_inf = merged
     a_sup[(a_sup == -np.inf) & np.isfinite(b_inf)] = 0.0
     d_inf[(d_inf == np.inf) & np.isfinite(c_sup)] = 0.0
